@@ -1,7 +1,9 @@
 #include "cluster/router.hpp"
 
 #include <chrono>
+#include <functional>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "net/client.hpp"
@@ -25,10 +27,11 @@ Router::Router(RouterConfig config)
     : config_(std::move(config)),
       windowed_(config_.windowed),
       slo_(config_.slo),
-      listener_(net::TcpListener::bind_loopback(config_.port)) {
+      frames_(config_.port, config_.poll_interval_ms, config_.io_timeout_ms,
+              obs::TraceStage::kRouterRecv,
+              std::bind_front(&Router::dispatch, this)) {
   // Fail at construction, not at the first connection: an empty map
-  // would otherwise throw from a handler thread (outside its try block)
-  // and std::terminate the process.
+  // could never serve a request.
   ANCHOR_CHECK_MSG(config_.map.num_shards() > 0,
                    "Router needs a non-empty ShardMap");
   health_ = std::make_shared<ClusterHealth>(config_.map);
@@ -214,75 +217,34 @@ void Router::register_metrics() {
 
 Router::~Router() { stop(); }
 
-void Router::run() { accept_loop(); }
+void Router::run() {
+  start_probe();
+  frames_.run();
+}
 
 void Router::start() {
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  start_probe();
+  frames_.start();
 }
 
 void Router::stop() {
-  stop_.store(true, std::memory_order_release);
   rollout_abort_.store(true, std::memory_order_release);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  while (accept_running_.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  frames_.stop();
   if (probe_thread_.joinable()) probe_thread_.join();
+  // The rollout thread is replaced only under rollout_mu_ while not
+  // running, so joining the current handle here races nothing.
+  std::thread rollout;
   {
-    // The rollout thread is replaced only under rollout_mu_ while not
-    // running, so joining the current handle here races nothing.
-    std::thread rollout;
-    {
-      std::lock_guard<std::mutex> lock(rollout_mu_);
-      rollout.swap(rollout_thread_);
-    }
-    if (rollout.joinable()) rollout.join();
+    std::lock_guard<std::mutex> lock(rollout_mu_);
+    rollout.swap(rollout_thread_);
   }
-  reap_connections(/*all=*/true);
-  listener_.close();
+  if (rollout.joinable()) rollout.join();
 }
 
-void Router::reap_connections(bool all) {
-  std::vector<std::unique_ptr<Connection>> to_join;
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    if (all) {
-      to_join.swap(connections_);
-    } else {
-      for (std::size_t i = 0; i < connections_.size();) {
-        if (connections_[i]->done.load(std::memory_order_acquire)) {
-          to_join.push_back(std::move(connections_[i]));
-          connections_[i] = std::move(connections_.back());
-          connections_.pop_back();
-        } else {
-          ++i;
-        }
-      }
-    }
-  }
-  for (auto& conn : to_join) conn->thread.join();
-}
-
-void Router::accept_loop() {
-  accept_running_.store(true, std::memory_order_release);
+void Router::start_probe() {
   if (config_.probe_interval_ms > 0 && !probe_thread_.joinable()) {
     probe_thread_ = std::thread([this] { probe_loop(); });
   }
-  while (!stop_.load(std::memory_order_acquire)) {
-    reap_connections(/*all=*/false);
-    net::TcpStream conn = listener_.accept(config_.poll_interval_ms);
-    if (!conn.valid()) continue;
-    auto connection = std::make_unique<Connection>();
-    Connection* raw = connection.get();
-    raw->thread =
-        std::thread([this, raw, stream = std::move(conn)]() mutable {
-          handle_connection(std::move(stream));
-          raw->done.store(true, std::memory_order_release);
-        });
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    connections_.push_back(std::move(connection));
-  }
-  accept_running_.store(false, std::memory_order_release);
 }
 
 void Router::probe_loop() {
@@ -290,11 +252,11 @@ void Router::probe_loop() {
   // backend knows within one probe, not one interval. Probes are per
   // REPLICA: one dead member of a replica set must not take the shard's
   // live members out of rotation.
-  while (!stop_.load(std::memory_order_acquire)) {
+  while (!frames_.stopping()) {
     for (std::size_t b = 0; b < config_.map.num_shards(); ++b) {
       const ShardSpec& spec = config_.map.shard(b);
       for (std::size_t rep = 0; rep < spec.num_replicas(); ++rep) {
-        if (stop_.load(std::memory_order_acquire)) return;
+        if (frames_.stopping()) return;
         const Endpoint& ep = spec.replica(rep);
         health_->mark(b, rep,
                       ClusterClient::probe(ep.host, ep.port,
@@ -304,37 +266,10 @@ void Router::probe_loop() {
     // Stop-responsive sleep between sweeps.
     for (int waited = 0;
          waited < config_.probe_interval_ms &&
-         !stop_.load(std::memory_order_acquire);
+         !frames_.stopping();
          waited += 10) {
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
-  }
-}
-
-void Router::handle_connection(net::TcpStream stream) {
-  stream.set_io_timeout(config_.io_timeout_ms);
-  net::MsgType type{};
-  std::vector<std::uint8_t> payload;
-  obs::TraceContext trace;
-  try {
-    while (!stop_.load(std::memory_order_acquire)) {
-      if (!stream.wait_readable(config_.poll_interval_ms)) continue;
-      if (!net::read_frame(stream, &type, &payload, &trace)) break;
-      // router_recv brackets the whole router-side handling: frame
-      // parsed → reply written (scatter/merge spans nest inside it).
-      const std::uint64_t recv_ns =
-          trace.sampled() ? obs::Tracer::now_ns() : 0;
-      const bool keep = dispatch(stream, type, payload, trace);
-      if (trace.sampled()) {
-        obs::Tracer::instance().record(trace, obs::TraceStage::kRouterRecv,
-                                       recv_ns, obs::Tracer::now_ns());
-      }
-      if (!keep) break;
-    }
-  } catch (const net::WireError&) {
-    // Malformed framing from the client: close without a reply, exactly
-    // like the backend server does.
-  } catch (const net::NetError&) {
   }
 }
 
@@ -344,11 +279,6 @@ bool Router::dispatch(net::TcpStream& stream, net::MsgType type,
   net::WireReader reader(payload);
   net::WireWriter reply;
   requests_total_->inc();
-  const auto send_error = [&](const std::string& message) {
-    net::WireWriter err;
-    err.str(message);
-    net::write_frame(stream, net::MsgType::kError, err);
-  };
   // Borrows a pooled client, runs one scatter-gather lookup on it (timed
   // into the router's latency histogram, lookup/degraded counters
   // maintained), releases the slot BEFORE the reply is written back —
@@ -374,17 +304,13 @@ bool Router::dispatch(net::TcpStream& stream, net::MsgType type,
       std::vector<std::size_t> ids(n);
       for (auto& id : ids) id = static_cast<std::size_t>(reader.u64());
       reader.expect_done();
-      try {
-        serve::LookupResult merged;
-        timed_lookup(
-            [&](ClusterClient& cc) { merged = cc.lookup_ids(ids); });
-        net::encode_lookup_result(merged, &reply);
-        net::write_frame(stream, net::MsgType::kLookupIdsReply, reply);
-      } catch (const net::NetError&) {
-        throw;  // client-side transport failure mid-reply: close
-      } catch (const std::exception& e) {
-        send_error(e.what());  // e.g. reply would exceed the frame cap
-      }
+      // ClusterClient absorbs backend-side transport and framing errors
+      // (they degrade rows), so whatever escapes here is a serving error
+      // (e.g. reply would exceed the frame cap) or the client's own stream.
+      serve::LookupResult merged;
+      timed_lookup([&](ClusterClient& cc) { merged = cc.lookup_ids(ids); });
+      net::encode_lookup_result(merged, &reply);
+      net::write_frame(stream, net::MsgType::kLookupIdsReply, reply);
       return true;
     }
     case net::MsgType::kLookupWords: {
@@ -395,17 +321,10 @@ bool Router::dispatch(net::TcpStream& stream, net::MsgType type,
       std::vector<std::string> words(n);
       for (auto& word : words) word = reader.str();
       reader.expect_done();
-      try {
-        serve::LookupResult merged;
-        timed_lookup(
-            [&](ClusterClient& cc) { merged = cc.lookup_words(words); });
-        net::encode_lookup_result(merged, &reply);
-        net::write_frame(stream, net::MsgType::kLookupWordsReply, reply);
-      } catch (const net::NetError&) {
-        throw;
-      } catch (const std::exception& e) {
-        send_error(e.what());
-      }
+      serve::LookupResult merged;
+      timed_lookup([&](ClusterClient& cc) { merged = cc.lookup_words(words); });
+      net::encode_lookup_result(merged, &reply);
+      net::write_frame(stream, net::MsgType::kLookupWordsReply, reply);
       return true;
     }
     case net::MsgType::kTopK: {
@@ -415,36 +334,29 @@ bool Router::dispatch(net::TcpStream& stream, net::MsgType type,
       // have. req.mode is therefore ignored here.
       net::TopKRequest req = net::decode_topk_request(&reader);
       reader.expect_done();
-      try {
-        ann::TopKResult merged;
-        const auto start = std::chrono::steady_clock::now();
-        pool_->with_client([&](ClusterClient& cc) {
-          if (trace.sampled()) cc.set_trace(trace);
-          switch (req.kind) {
-            case net::kTopKKindId:
-              merged = cc.topk_id(req.id, req.k, req.nprobe, req.rerank);
-              break;
-            case net::kTopKKindWord:
-              merged = cc.topk_word(req.word, req.k, req.nprobe, req.rerank);
-              break;
-            default:
-              merged =
-                  cc.topk_vector(req.vector, req.k, req.nprobe, req.rerank);
-              break;
-          }
-        });
-        topk_total_->inc();
-        if (merged.flags & ann::kTopKFlagPartial) topk_partial_->inc();
-        topk_latency_->record(std::chrono::duration<double, std::micro>(
-                                  std::chrono::steady_clock::now() - start)
-                                  .count());
-        net::encode_topk_result(merged, &reply);
-        net::write_frame(stream, net::MsgType::kTopKReply, reply);
-      } catch (const net::NetError&) {
-        throw;
-      } catch (const std::exception& e) {
-        send_error(e.what());
-      }
+      ann::TopKResult merged;
+      const auto start = std::chrono::steady_clock::now();
+      pool_->with_client([&](ClusterClient& cc) {
+        if (trace.sampled()) cc.set_trace(trace);
+        switch (req.kind) {
+          case net::kTopKKindId:
+            merged = cc.topk_id(req.id, req.k, req.nprobe, req.rerank);
+            break;
+          case net::kTopKKindWord:
+            merged = cc.topk_word(req.word, req.k, req.nprobe, req.rerank);
+            break;
+          default:
+            merged = cc.topk_vector(req.vector, req.k, req.nprobe, req.rerank);
+            break;
+        }
+      });
+      topk_total_->inc();
+      if (merged.flags & ann::kTopKFlagPartial) topk_partial_->inc();
+      topk_latency_->record(std::chrono::duration<double, std::micro>(
+                                std::chrono::steady_clock::now() - start)
+                                .count());
+      net::encode_topk_result(merged, &reply);
+      net::write_frame(stream, net::MsgType::kTopKReply, reply);
       return true;
     }
     case net::MsgType::kMetrics: {
@@ -493,10 +405,7 @@ bool Router::dispatch(net::TcpStream& stream, net::MsgType type,
       reader.expect_done();
       const std::string error =
           start_rollout(candidate, mode, fraction, shadow_rate);
-      if (!error.empty()) {
-        send_error(error);
-        return true;
-      }
+      if (!error.empty()) throw std::runtime_error(error);
       net::encode_rollout_status(rollout_status(), &reply);
       net::write_frame(stream, net::MsgType::kRolloutStartReply, reply);
       return true;
@@ -523,32 +432,26 @@ bool Router::dispatch(net::TcpStream& stream, net::MsgType type,
       reader.str();
       if (reader.remaining() > 0) reader.u8();  // optional force byte
       reader.expect_done();
-      send_error(
+      throw std::runtime_error(
           "anchor_router does not serve single-shard promotes; use "
           "ROLLOUT_START for a coordinated shard-by-shard rollout");
-      return true;
     }
     case net::MsgType::kCanaryStart:
     case net::MsgType::kCanaryStatus:
-    case net::MsgType::kCanaryAbort: {
-      send_error(
+    case net::MsgType::kCanaryAbort:
+      throw std::runtime_error(
           "canaries run per-shard behind the router; start one through "
           "ROLLOUT_START mode 1 (canary), or address a backend directly");
-      return true;
-    }
     case net::MsgType::kShutdown: {
       reader.expect_done();
       if (config_.forward_shutdown) pool_->shutdown_backends();
-      shutdown_requested_.store(true, std::memory_order_release);
-      stop_.store(true, std::memory_order_release);
+      frames_.request_shutdown();
       net::write_frame(stream, net::MsgType::kShutdownReply, reply);
       return false;
     }
-    default: {
-      send_error("unknown request type " +
-                 std::to_string(static_cast<int>(type)));
-      return true;
-    }
+    default:
+      throw std::runtime_error("unknown request type " +
+                               std::to_string(static_cast<int>(type)));
   }
 }
 
@@ -689,7 +592,7 @@ void Router::rollout_body(std::string candidate, std::uint8_t mode,
   };
 
   for (std::size_t i = 0; i < n; ++i) {
-    if (stop_.load(std::memory_order_acquire) ||
+    if (frames_.stopping() ||
         rollout_abort_.load(std::memory_order_acquire)) {
       rollback_all();
       finish_rollout(net::RolloutState::kAborted, candidate,
@@ -813,7 +716,7 @@ bool Router::rollout_shard(std::size_t shard, const std::string& candidate,
     canary_started = st.state == serve::CanaryState::kRunning;
     while (!canary_terminal(st.state) &&
            st.state != serve::CanaryState::kNone) {
-      if (stop_.load(std::memory_order_acquire) ||
+      if (frames_.stopping() ||
           rollout_abort_.load(std::memory_order_acquire)) {
         st = client.canary_abort(/*drain=*/true);
         *detail = "canary aborted by rollout abort; " + st.online.summary();

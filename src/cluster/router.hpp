@@ -1,6 +1,9 @@
 // Stateless shard-routing front-end: one TCP server speaking the standard
 // wire protocol to unmodified net::Clients, fanned out over N
-// anchor_served backends by a ShardMap.
+// anchor_served backends by a ShardMap. Connections, threads, stop/shutdown
+// and the connection error policy live in net::FrameServer
+// (net/frame_server.hpp); this class is the dispatch behind it plus the
+// probe and rollout threads.
 //
 // Data plane: all connection handlers share one round-robin POOL of
 // mutex-guarded ClusterClients (cluster/client_pool.hpp), so backend
@@ -37,7 +40,7 @@
 #include "cluster/client_pool.hpp"
 #include "cluster/cluster_client.hpp"
 #include "cluster/shard_map.hpp"
-#include "net/socket.hpp"
+#include "net/frame_server.hpp"
 #include "net/wire.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -95,15 +98,13 @@ class Router {
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  std::uint16_t port() const { return listener_.port(); }
+  std::uint16_t port() const { return frames_.port(); }
 
   void run();    // serve on the calling thread until stop()
   void start();  // serve on a background thread
   void stop();   // idempotent; joins every thread
 
-  bool shutdown_requested() const {
-    return shutdown_requested_.load(std::memory_order_acquire);
-  }
+  bool shutdown_requested() const { return frames_.shutdown_requested(); }
 
   const ShardMap& map() const { return config_.map; }
   const ClusterHealth& health() const { return *health_; }
@@ -121,10 +122,11 @@ class Router {
   obs::MetricsRegistry& metrics_registry() { return metrics_; }
 
  private:
-  void accept_loop();
+  /// Starts the health-probe thread (once; no-op when probing is off).
+  void start_probe();
   void probe_loop();
-  void handle_connection(net::TcpStream stream);
-  /// `trace` is the request frame's trace context (invalid when
+  /// Serving errors throw and become kError replies (FrameServer's
+  /// policy). `trace` is the request frame's trace context (invalid when
   /// untraced): lookups hand it to the borrowed ClusterClient so the
   /// scatter / per-shard RTT / merge spans and the backends' frames join
   /// the trace.
@@ -165,7 +167,6 @@ class Router {
   std::unique_ptr<obs::KeyLoadRecorder> load_;
   obs::SloMonitor slo_;
   std::unique_ptr<ClusterClientPool> pool_;
-  net::TcpListener listener_;
   obs::MetricsRegistry metrics_;
   /// Owned hot-path metrics (registry references are stable for its
   /// lifetime; handlers update them lock-free).
@@ -177,19 +178,7 @@ class Router {
   obs::Counter* topk_partial_ = nullptr;
   obs::LogHistogram* topk_latency_ = nullptr;
 
-  std::atomic<bool> stop_{false};
-  std::atomic<bool> shutdown_requested_{false};
-  std::atomic<bool> accept_running_{false};
-  std::thread accept_thread_;
   std::thread probe_thread_;
-
-  struct Connection {
-    std::thread thread;
-    std::atomic<bool> done{false};
-  };
-  void reap_connections(bool all);
-  std::mutex conn_mu_;
-  std::vector<std::unique_ptr<Connection>> connections_;
 
   /// Rollout state machine, mutex-guarded (control-plane-rare). The
   /// report is the single source of truth ROLLOUT_STATUS serializes.
@@ -197,6 +186,9 @@ class Router {
   net::RolloutStatusReport rollout_;
   std::atomic<bool> rollout_abort_{false};
   std::thread rollout_thread_;
+  /// Declared last: its handler threads call dispatch(), so they are
+  /// joined (stop(), or its own destructor) before any member above dies.
+  net::FrameServer frames_;
 };
 
 }  // namespace anchor::cluster

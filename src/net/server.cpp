@@ -1,8 +1,9 @@
 #include "net/server.hpp"
 
 #include <chrono>
-#include <exception>
+#include <functional>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
 #include "net/wire.hpp"
@@ -45,8 +46,10 @@ Server::Server(serve::EmbeddingStore& store, ServerConfig config)
              }(),
              batcher_stats_),
       gate_(config.gate),
-      listener_(TcpListener::bind_loopback(config.port)),
-      faults_(config.fault_seed) {
+      faults_(config.fault_seed),
+      frames_(config.port, config.poll_interval_ms, config.io_timeout_ms,
+              obs::TraceStage::kBackendRecv,
+              std::bind_front(&Server::dispatch, this)) {
   if (config_.fault_inject) faults_.configure(config_.faults);
   if (config_.ann_enable) {
     ann_ = std::make_unique<ann::AnnService>(store_, config_.ann);
@@ -280,24 +283,9 @@ void Server::register_metrics() {
 
 Server::~Server() { stop(); }
 
-void Server::run() { accept_loop(); }
-
-void Server::start() {
-  accept_thread_ = std::thread([this] { accept_loop(); });
-}
-
 void Server::stop() {
-  stop_.store(true, std::memory_order_release);
   if (drift_) drift_->stop();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  // run() callers drive the accept loop on their own thread; wait for it
-  // to observe the stop flag (bounded by poll_interval_ms) so the
-  // listener is never closed mid-accept and no connection is pushed
-  // after the final reap.
-  while (accept_running_.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  reap_connections(/*all=*/true);
+  frames_.stop();
   // Graceful-shutdown drain: every handler has exited (their in-flight
   // batches are answered), so all that can still be mid-work is the
   // canary's shadow scorer — wait for it rather than tearing the process
@@ -307,77 +295,6 @@ void Server::stop() {
     return canary_;
   }();
   if (canary) canary->abort(/*drain=*/true);  // no-op unless running
-  listener_.close();
-}
-
-void Server::reap_connections(bool all) {
-  std::vector<std::unique_ptr<Connection>> to_join;
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    if (all) {
-      to_join.swap(connections_);
-    } else {
-      for (std::size_t i = 0; i < connections_.size();) {
-        if (connections_[i]->done.load(std::memory_order_acquire)) {
-          to_join.push_back(std::move(connections_[i]));
-          connections_[i] = std::move(connections_.back());
-          connections_.pop_back();
-        } else {
-          ++i;
-        }
-      }
-    }
-  }
-  for (auto& conn : to_join) conn->thread.join();
-}
-
-void Server::accept_loop() {
-  accept_running_.store(true, std::memory_order_release);
-  while (!stop_.load(std::memory_order_acquire)) {
-    reap_connections(/*all=*/false);
-    TcpStream conn = listener_.accept(config_.poll_interval_ms);
-    if (!conn.valid()) continue;  // poll timeout — recheck stop flag
-    auto connection = std::make_unique<Connection>();
-    Connection* raw = connection.get();
-    raw->thread =
-        std::thread([this, raw, stream = std::move(conn)]() mutable {
-          handle_connection(std::move(stream));
-          raw->done.store(true, std::memory_order_release);
-        });
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    connections_.push_back(std::move(connection));
-  }
-  accept_running_.store(false, std::memory_order_release);
-}
-
-void Server::handle_connection(TcpStream stream) {
-  stream.set_io_timeout(config_.io_timeout_ms);
-  MsgType type{};
-  std::vector<std::uint8_t> payload;
-  obs::TraceContext trace;
-  try {
-    while (!stop_.load(std::memory_order_acquire)) {
-      // Poll so a stop() issued while the client is idle is honored within
-      // one interval instead of blocking in recv forever.
-      if (!stream.wait_readable(config_.poll_interval_ms)) continue;
-      if (!read_frame(stream, &type, &payload, &trace)) break;  // went away
-      // backend_recv brackets the whole server-side handling: frame
-      // parsed → reply written.
-      const std::uint64_t recv_ns =
-          trace.sampled() ? obs::Tracer::now_ns() : 0;
-      const bool keep = dispatch(stream, type, payload, trace);
-      if (trace.sampled()) {
-        obs::Tracer::instance().record(trace, obs::TraceStage::kBackendRecv,
-                                       recv_ns, obs::Tracer::now_ns());
-      }
-      if (!keep) break;
-    }
-  } catch (const WireError&) {
-    // Malformed framing: the stream position is unrecoverable, so close
-    // without a reply (an error frame could land mid-garbage anyway).
-  } catch (const NetError&) {
-    // Peer reset or vanished mid-message; nothing left to answer.
-  }
 }
 
 bool Server::send_data_reply(TcpStream& stream, MsgType type,
@@ -441,22 +358,25 @@ bool Server::dispatch(TcpStream& stream, MsgType type,
                       const obs::TraceContext& trace) {
   WireReader reader(payload);
   WireWriter reply;
-  // Upper bound on keys whose REPLY still fits the frame cap: each row
+  // Refuses a key count whose REPLY could not fit the frame cap: each row
   // costs dim f32s plus an oov byte. Checked before running a lookup, so
   // an oversized-but-well-formed request is refused with an error frame
   // instead of allocating gigabytes and failing at send time. Uses the
   // live snapshot's dim; a concurrent hot swap to a different dim is
   // caught by write_frame's own cap check (kError reply, no crash).
-  const auto max_reply_keys = [this]() -> std::uint64_t {
+  const auto require_reply_fits = [this](std::uint64_t n) {
     const serve::SnapshotPtr live = store_.live();
     const std::uint64_t row_bytes =
         live ? live->dim() * sizeof(float) + 1 : 1;
-    return (kMaxFrameBytes - 1024) / row_bytes;
+    if (n > (kMaxFrameBytes - 1024) / row_bytes) {
+      throw std::runtime_error(
+          "batch too large: reply would exceed the frame cap");
+    }
   };
-  // Payload decode errors (WireError) propagate to handle_connection and
-  // close the connection — the stream itself is fine but the peer speaks a
-  // different layout. Serving errors (unknown version, empty store) keep
-  // the connection and answer kError instead.
+  // Error policy (FrameServer): payload decode errors (WireError) close
+  // the connection — the stream itself is fine but the peer speaks a
+  // different layout. Serving errors (unknown version, empty store) throw
+  // any other exception, keep the connection and answer kError.
   switch (type) {
     case MsgType::kLookupIds: {
       WindowedScope wscope(windowed_);
@@ -466,28 +386,18 @@ bool Server::dispatch(TcpStream& stream, MsgType type,
       if (n > reader.remaining() / sizeof(std::uint64_t)) {
         throw WireError("id count exceeds payload");
       }
-      if (n > max_reply_keys()) {
-        WireWriter err;
-        err.str("batch too large: reply would exceed the frame cap");
-        write_frame(stream, MsgType::kError, err);
-        return true;
-      }
+      require_reply_fits(n);
       std::vector<std::size_t> ids(n);
       for (auto& id : ids) id = static_cast<std::size_t>(reader.u64());
       reader.expect_done();
-      try {
-        if (const auto canary = active_canary()) {
-          // Canary data plane: the router hash-splits the keys between
-          // incumbent and candidate (and mirrors the shadow sample),
-          // then merges back into request order.
-          serve::LookupResult merged;
-          canary->lookup_ids_into(ids, &merged);
-          encode_lookup_result(merged, &reply);
-          const bool sent =
-              send_data_reply(stream, MsgType::kLookupIdsReply, reply);
-          wscope.error = !sent;
-          return sent;
-        }
+      if (const auto canary = active_canary()) {
+        // Canary data plane: the router hash-splits the keys between
+        // incumbent and candidate (and mirrors the shadow sample), then
+        // merges back into request order.
+        serve::LookupResult merged;
+        canary->lookup_ids_into(ids, &merged);
+        encode_lookup_result(merged, &reply);
+      } else {
         // Single keys ride the allocation-free ring fast path; bigger
         // requests coalesce on the general path. Traced requests always
         // take the general path — the ring's slots carry no trace, and a
@@ -498,21 +408,11 @@ bool Server::dispatch(TcpStream& stream, MsgType type,
             : ids.size() == 1 ? async_.lookup_id(ids[0]).get()
                               : async_.lookup_ids(std::move(ids)).get();
         encode_result_slice(slice, &reply);
-        if (!send_data_reply(stream, MsgType::kLookupIdsReply, reply)) {
-          return false;
-        }
-        wscope.error = false;
-      } catch (const NetError&) {
-        // Transport failure, possibly mid-reply: the stream framing is
-        // gone; close the connection instead of appending an error frame
-        // onto a truncated reply.
-        throw;
-      } catch (const std::exception& e) {
-        WireWriter err;
-        err.str(e.what());
-        write_frame(stream, MsgType::kError, err);
       }
-      return true;
+      const bool sent =
+          send_data_reply(stream, MsgType::kLookupIdsReply, reply);
+      wscope.error = !sent;
+      return sent;
     }
     case MsgType::kLookupWords: {
       WindowedScope wscope(windowed_);
@@ -521,104 +421,76 @@ bool Server::dispatch(TcpStream& stream, MsgType type,
       if (n > reader.remaining() / sizeof(std::uint32_t)) {
         throw WireError("word count exceeds payload");
       }
-      if (n > max_reply_keys()) {
-        WireWriter err;
-        err.str("batch too large: reply would exceed the frame cap");
-        write_frame(stream, MsgType::kError, err);
-        return true;
-      }
+      require_reply_fits(n);
       std::vector<std::string> words(n);
       for (auto& word : words) word = reader.str();
       reader.expect_done();
-      try {
-        if (const auto canary = active_canary()) {
-          serve::LookupResult merged;
-          canary->lookup_words_into(words, &merged);
-          encode_lookup_result(merged, &reply);
-          const bool sent =
-              send_data_reply(stream, MsgType::kLookupWordsReply, reply);
-          wscope.error = !sent;
-          return sent;
-        }
+      if (const auto canary = active_canary()) {
+        serve::LookupResult merged;
+        canary->lookup_words_into(words, &merged);
+        encode_lookup_result(merged, &reply);
+      } else {
         const serve::ResultSlice slice =
             trace.sampled()
                 ? async_.lookup_words(std::move(words), trace).get()
                 : async_.lookup_words(std::move(words)).get();
         encode_result_slice(slice, &reply);
-        if (!send_data_reply(stream, MsgType::kLookupWordsReply, reply)) {
-          return false;
-        }
-        wscope.error = false;
-      } catch (const NetError&) {
-        throw;  // transport failure mid-reply: close, don't answer
-      } catch (const std::exception& e) {
-        WireWriter err;
-        err.str(e.what());
-        write_frame(stream, MsgType::kError, err);
       }
-      return true;
+      const bool sent =
+          send_data_reply(stream, MsgType::kLookupWordsReply, reply);
+      wscope.error = !sent;
+      return sent;
     }
     case MsgType::kTopK: {
       WindowedScope wscope(windowed_);
       TopKRequest req = decode_topk_request(&reader);
       reader.expect_done();
       if (!ann_) {
-        WireWriter err;
-        err.str("TOPK serving is disabled on this server");
-        write_frame(stream, MsgType::kError, err);
-        return true;
+        throw std::runtime_error("TOPK serving is disabled on this server");
       }
-      try {
-        // Resolve the query vector. Id/word queries ride the batcher like
-        // any lookup, so TOPK resolution coalesces with concurrent lookup
-        // traffic instead of bypassing the serving path (and OOV words
-        // search from their synthesized vector, same as a lookup).
-        std::vector<float> query;
-        if (req.kind == kTopKKindVector) {
-          query = std::move(req.vector);
-        } else {
-          const serve::ResultSlice slice =
-              req.kind == kTopKKindId
-                  ? async_.lookup_id(static_cast<std::size_t>(req.id)).get()
-                  : async_.lookup_word(std::move(req.word)).get();
-          if (slice.size() != 1) {
-            throw std::runtime_error("topk query resolution failed");
-          }
-          query.assign(slice.row(0), slice.row(0) + slice.dim());
+      // Resolve the query vector. Id/word queries ride the batcher like
+      // any lookup, so TOPK resolution coalesces with concurrent lookup
+      // traffic instead of bypassing the serving path (and OOV words
+      // search from their synthesized vector, same as a lookup).
+      std::vector<float> query;
+      if (req.kind == kTopKKindVector) {
+        query = std::move(req.vector);
+      } else {
+        const serve::ResultSlice slice =
+            req.kind == kTopKKindId
+                ? async_.lookup_id(static_cast<std::size_t>(req.id)).get()
+                : async_.lookup_word(std::move(req.word)).get();
+        if (slice.size() != 1) {
+          throw std::runtime_error("topk query resolution failed");
         }
-        const ann::IvfPqIndexPtr index = ann_->index_for_live();
-        if (!index) throw std::runtime_error("no live version to search");
-        if (query.size() != index->dim()) {
-          throw std::runtime_error(
-              "topk query dim " + std::to_string(query.size()) +
-              " != index dim " + std::to_string(index->dim()));
-        }
-        const std::uint64_t t0 = obs::Tracer::now_ns();
-        const ann::TopKResult result =
-            req.mode == kTopKModeCandidates
-                ? index->candidates(query.data(), req.rerank, req.nprobe)
-                : index->search(query.data(), req.k, req.nprobe, req.rerank);
-        const std::uint64_t t1 = obs::Tracer::now_ns();
-        if (trace.sampled()) {
-          obs::Tracer::instance().record(trace, obs::TraceStage::kTopkSearch,
-                                         t0, t1);
-        }
-        topk_requests_.fetch_add(1, std::memory_order_relaxed);
-        topk_latency_us_.record(static_cast<double>(t1 - t0) / 1000.0);
-        topk_cells_probed_.record(static_cast<double>(result.cells_probed));
-        topk_shortlist_.record(static_cast<double>(result.shortlist));
-        encode_topk_result(result, &reply);
-        const bool sent = send_data_reply(stream, MsgType::kTopKReply, reply);
-        wscope.error = !sent;
-        return sent;
-      } catch (const NetError&) {
-        throw;  // transport failure mid-reply: close, don't answer
-      } catch (const std::exception& e) {
-        WireWriter err;
-        err.str(e.what());
-        write_frame(stream, MsgType::kError, err);
+        query.assign(slice.row(0), slice.row(0) + slice.dim());
       }
-      return true;
+      const ann::IvfPqIndexPtr index = ann_->index_for_live();
+      if (!index) throw std::runtime_error("no live version to search");
+      if (query.size() != index->dim()) {
+        throw std::runtime_error("topk query dim " +
+                                 std::to_string(query.size()) +
+                                 " != index dim " +
+                                 std::to_string(index->dim()));
+      }
+      const std::uint64_t t0 = obs::Tracer::now_ns();
+      const ann::TopKResult result =
+          req.mode == kTopKModeCandidates
+              ? index->candidates(query.data(), req.rerank, req.nprobe)
+              : index->search(query.data(), req.k, req.nprobe, req.rerank);
+      const std::uint64_t t1 = obs::Tracer::now_ns();
+      if (trace.sampled()) {
+        obs::Tracer::instance().record(trace, obs::TraceStage::kTopkSearch,
+                                       t0, t1);
+      }
+      topk_requests_.fetch_add(1, std::memory_order_relaxed);
+      topk_latency_us_.record(static_cast<double>(t1 - t0) / 1000.0);
+      topk_cells_probed_.record(static_cast<double>(result.cells_probed));
+      topk_shortlist_.record(static_cast<double>(result.shortlist));
+      encode_topk_result(result, &reply);
+      const bool sent = send_data_reply(stream, MsgType::kTopKReply, reply);
+      wscope.error = !sent;
+      return sent;
     }
     case MsgType::kTryPromote: {
       const std::string candidate = reader.str();
@@ -628,88 +500,76 @@ bool Server::dispatch(TcpStream& stream, MsgType type,
       // restore the incumbent and strand a mixed-version cluster.
       const bool force = reader.remaining() > 0 && reader.u8() != 0;
       reader.expect_done();
-      try {
-        // Promotions are serialized: concurrent handlers would interleave
-        // appends to the gate's audit CSV (and gate two candidates
-        // against the same incumbent at once, promoting both).
-        std::lock_guard<std::mutex> lock(promote_mu_);
-        {
-          // An offline promote under a running canary would flip the
-          // incumbent out from under the router mid-measurement (and the
-          // canary's own decision could later silently override it).
-          // state()==kRunning, not active(): a DRAINING canary has
-          // active()==false but is still measuring and about to write
-          // its own terminal decision — flipping under it is just as
-          // wrong.
-          std::lock_guard<std::mutex> clock(canary_mu_);
-          if (canary_ &&
-              canary_->state() == serve::CanaryState::kRunning) {
-            throw std::runtime_error(
-                "a canary is running (candidate '" +
-                canary_->candidate_version() +
-                "'); abort it before an offline promote");
-          }
+      // Promotions are serialized: concurrent handlers would interleave
+      // appends to the gate's audit CSV (and gate two candidates against
+      // the same incumbent at once, promoting both).
+      std::lock_guard<std::mutex> lock(promote_mu_);
+      {
+        // An offline promote under a running canary would flip the
+        // incumbent out from under the router mid-measurement (and the
+        // canary's own decision could later silently override it).
+        // state()==kRunning, not active(): a DRAINING canary has
+        // active()==false but is still measuring and about to write its
+        // own terminal decision — flipping under it is just as wrong.
+        std::lock_guard<std::mutex> clock(canary_mu_);
+        if (canary_ && canary_->state() == serve::CanaryState::kRunning) {
+          throw std::runtime_error("a canary is running (candidate '" +
+                                   canary_->candidate_version() +
+                                   "'); abort it before an offline promote");
         }
-        // Online churn gate: before the offline measures run, check what
-        // TOPK clients would actually observe across the swap — mean
-        // served top-k churn between the incumbent's and the candidate's
-        // indexes. Off by default (threshold 0); forced promotes (the
-        // rollout-rollback path) bypass it like they bypass the gate.
-        if (!force && ann_ && config_.topk_churn_reject > 0.0) {
-          const serve::SnapshotPtr incumbent = store_.live();
-          const serve::SnapshotPtr cand = store_.snapshot(candidate);
-          if (incumbent && cand && incumbent->epoch() != cand->epoch()) {
-            const double churn =
-                ann_->topk_churn(incumbent, cand, config_.topk_churn_queries,
-                                 config_.topk_churn_k);
-            if (churn > config_.topk_churn_reject) {
-              serve::GateReport rejected;
-              rejected.old_version = incumbent->version();
-              rejected.new_version = candidate;
-              rejected.decision = serve::GateDecision::kReject;
-              rejected.reason =
-                  "topk churn " + std::to_string(churn) +
-                  " exceeds threshold " +
-                  std::to_string(config_.topk_churn_reject);
-              if (!config_.gate.audit_log.empty()) {
-                serve::append_audit_csv(config_.gate.audit_log, rejected);
-              }
-              encode_gate_report(rejected, &reply);
-              write_frame(stream, MsgType::kTryPromoteReply, reply);
-              return true;
-            }
-          }
-        }
-        serve::GateReport report;
-        if (force) {
-          const serve::SnapshotPtr snap = store_.snapshot(candidate);
-          if (snap == nullptr) {
-            throw std::runtime_error("unknown candidate version '" +
-                                     candidate + "'");
-          }
-          report.old_version = store_.live_version();
-          report.new_version = candidate;
-          report.decision = serve::GateDecision::kAdmit;
-          report.promoted = store_.set_live_snapshot(snap);
-          report.reason = report.promoted
-                              ? "forced promote (gate bypassed)"
-                              : "forced promote aborted: candidate was "
-                                "re-registered during the request";
-          if (!config_.gate.audit_log.empty()) {
-            serve::append_audit_csv(config_.gate.audit_log, report);
-          }
-        } else {
-          report = gate_.try_promote(store_, candidate);
-        }
-        encode_gate_report(report, &reply);
-        write_frame(stream, MsgType::kTryPromoteReply, reply);
-      } catch (const NetError&) {
-        throw;  // transport failure mid-reply: close, don't answer
-      } catch (const std::exception& e) {
-        WireWriter err;
-        err.str(e.what());
-        write_frame(stream, MsgType::kError, err);
       }
+      // Online churn gate: before the offline measures run, check what
+      // TOPK clients would actually observe across the swap — mean served
+      // top-k churn between the incumbent's and the candidate's indexes.
+      // Off by default (threshold 0); forced promotes (the
+      // rollout-rollback path) bypass it like they bypass the gate.
+      if (!force && ann_ && config_.topk_churn_reject > 0.0) {
+        const serve::SnapshotPtr incumbent = store_.live();
+        const serve::SnapshotPtr cand = store_.snapshot(candidate);
+        if (incumbent && cand && incumbent->epoch() != cand->epoch()) {
+          const double churn =
+              ann_->topk_churn(incumbent, cand, config_.topk_churn_queries,
+                               config_.topk_churn_k);
+          if (churn > config_.topk_churn_reject) {
+            serve::GateReport rejected;
+            rejected.old_version = incumbent->version();
+            rejected.new_version = candidate;
+            rejected.decision = serve::GateDecision::kReject;
+            rejected.reason = "topk churn " + std::to_string(churn) +
+                              " exceeds threshold " +
+                              std::to_string(config_.topk_churn_reject);
+            if (!config_.gate.audit_log.empty()) {
+              serve::append_audit_csv(config_.gate.audit_log, rejected);
+            }
+            encode_gate_report(rejected, &reply);
+            write_frame(stream, MsgType::kTryPromoteReply, reply);
+            return true;
+          }
+        }
+      }
+      serve::GateReport report;
+      if (force) {
+        const serve::SnapshotPtr snap = store_.snapshot(candidate);
+        if (snap == nullptr) {
+          throw std::runtime_error("unknown candidate version '" + candidate +
+                                   "'");
+        }
+        report.old_version = store_.live_version();
+        report.new_version = candidate;
+        report.decision = serve::GateDecision::kAdmit;
+        report.promoted = store_.set_live_snapshot(snap);
+        report.reason = report.promoted
+                            ? "forced promote (gate bypassed)"
+                            : "forced promote aborted: candidate was "
+                              "re-registered during the request";
+        if (!config_.gate.audit_log.empty()) {
+          serve::append_audit_csv(config_.gate.audit_log, report);
+        }
+      } else {
+        report = gate_.try_promote(store_, candidate);
+      }
+      encode_gate_report(report, &reply);
+      write_frame(stream, MsgType::kTryPromoteReply, reply);
       return true;
     }
     case MsgType::kStats: {
@@ -750,65 +610,56 @@ bool Server::dispatch(TcpStream& stream, MsgType type,
       const double fraction = reader.f64();
       const double shadow_rate = reader.f64();
       reader.expect_done();
-      try {
-        std::lock_guard<std::mutex> lock(promote_mu_);
-        {
-          // Same state()==kRunning rationale as kTryPromote: a draining
-          // canary still owns the decision slot until it writes its
-          // terminal state.
-          std::lock_guard<std::mutex> clock(canary_mu_);
-          if (canary_ &&
-              canary_->state() == serve::CanaryState::kRunning) {
-            throw std::runtime_error(
-                "a canary is already running (candidate '" +
-                canary_->candidate_version() + "'); abort it first");
-          }
+      std::lock_guard<std::mutex> lock(promote_mu_);
+      {
+        // Same state()==kRunning rationale as kTryPromote: a draining
+        // canary still owns the decision slot until it writes its
+        // terminal state.
+        std::lock_guard<std::mutex> clock(canary_mu_);
+        if (canary_ && canary_->state() == serve::CanaryState::kRunning) {
+          throw std::runtime_error("a canary is already running (candidate '" +
+                                   canary_->candidate_version() +
+                                   "'); abort it first");
         }
-        serve::CanaryConfig ccfg = config_.canary;
-        // Per-request overrides; out-of-range values mean "server
-        // default" so a thin client can pass zeros.
-        if (fraction > 0.0 && fraction <= 1.0) ccfg.fraction = fraction;
-        if (shadow_rate > 0.0 && shadow_rate <= 1.0) {
-          ccfg.shadow_rate = shadow_rate;
-        }
-        // Candidate-side traffic counts into the server's own stats, so
-        // kStats does not under-report while the canary runs.
-        ccfg.candidate_service_stats = service_stats_;
-        ccfg.candidate_batcher_stats = batcher_stats_;
-        // Same rationale for key-load attribution: the candidate stack
-        // serves a slice of real traffic, so its keys feed the same
-        // sketch/heat map and the HEAT view stays whole-traffic.
-        ccfg.candidate_lookup.load = load_.get();
-        ccfg.candidate_batcher.windowed = &batch_windowed_;
-        serve::GateReport offline;
-        const auto router =
-            gate_.try_promote(store_, candidate, async_, ccfg, &offline);
-        {
-          std::lock_guard<std::mutex> clock(canary_mu_);
-          canary_ = router;
-          if (!router) {
-            // Phase 1 decided everything (reject, no incumbent, or
-            // already live); keep its report for status queries.
-            last_canary_status_ = CanaryStatusReport{};
-            last_canary_status_.state =
-                offline.decision == serve::GateDecision::kReject
-                    ? serve::CanaryState::kOfflineRejected
-                    : serve::CanaryState::kNone;
-            last_canary_status_.incumbent = offline.old_version;
-            last_canary_status_.candidate = offline.new_version;
-            last_canary_status_.offline = offline;
-            last_canary_status_.reason = offline.reason;
-          }
-        }
-        encode_canary_status(canary_status_report(), &reply);
-        write_frame(stream, MsgType::kCanaryStartReply, reply);
-      } catch (const NetError&) {
-        throw;  // transport failure mid-reply: close, don't answer
-      } catch (const std::exception& e) {
-        WireWriter err;
-        err.str(e.what());
-        write_frame(stream, MsgType::kError, err);
       }
+      serve::CanaryConfig ccfg = config_.canary;
+      // Per-request overrides; out-of-range values mean "server default"
+      // so a thin client can pass zeros.
+      if (fraction > 0.0 && fraction <= 1.0) ccfg.fraction = fraction;
+      if (shadow_rate > 0.0 && shadow_rate <= 1.0) {
+        ccfg.shadow_rate = shadow_rate;
+      }
+      // Candidate-side traffic counts into the server's own stats, so
+      // kStats does not under-report while the canary runs.
+      ccfg.candidate_service_stats = service_stats_;
+      ccfg.candidate_batcher_stats = batcher_stats_;
+      // Same rationale for key-load attribution: the candidate stack
+      // serves a slice of real traffic, so its keys feed the same
+      // sketch/heat map and the HEAT view stays whole-traffic.
+      ccfg.candidate_lookup.load = load_.get();
+      ccfg.candidate_batcher.windowed = &batch_windowed_;
+      serve::GateReport offline;
+      const auto router =
+          gate_.try_promote(store_, candidate, async_, ccfg, &offline);
+      {
+        std::lock_guard<std::mutex> clock(canary_mu_);
+        canary_ = router;
+        if (!router) {
+          // Phase 1 decided everything (reject, no incumbent, or already
+          // live); keep its report for status queries.
+          last_canary_status_ = CanaryStatusReport{};
+          last_canary_status_.state =
+              offline.decision == serve::GateDecision::kReject
+                  ? serve::CanaryState::kOfflineRejected
+                  : serve::CanaryState::kNone;
+          last_canary_status_.incumbent = offline.old_version;
+          last_canary_status_.candidate = offline.new_version;
+          last_canary_status_.offline = offline;
+          last_canary_status_.reason = offline.reason;
+        }
+      }
+      encode_canary_status(canary_status_report(), &reply);
+      write_frame(stream, MsgType::kCanaryStartReply, reply);
       return true;
     }
     case MsgType::kCanaryStatus: {
@@ -844,19 +695,10 @@ bool Server::dispatch(TcpStream& stream, MsgType type,
       const std::string spec = reader.str();
       reader.expect_done();
       if (!config_.fault_inject) {
-        WireWriter err;
-        err.str("fault injection is not armed (start with --fault-inject)");
-        write_frame(stream, MsgType::kError, err);
-        return true;
+        throw std::runtime_error(
+            "fault injection is not armed (start with --fault-inject)");
       }
-      try {
-        faults_.configure(FaultConfig::parse(spec));
-      } catch (const std::exception& e) {
-        WireWriter err;
-        err.str(e.what());
-        write_frame(stream, MsgType::kError, err);
-        return true;
-      }
+      faults_.configure(FaultConfig::parse(spec));
       // Echo the canonical form so the orchestrator can log what took
       // effect ("" = faults cleared).
       reply.str(faults_.config().serialize());
@@ -869,17 +711,13 @@ bool Server::dispatch(TcpStream& stream, MsgType type,
       // observe shutdown_requested() as true. The accept loop stops;
       // stop() (daemon main / destructor) joins the other handlers, and
       // this handler just closes its own connection.
-      shutdown_requested_.store(true, std::memory_order_release);
-      stop_.store(true, std::memory_order_release);
+      frames_.request_shutdown();
       write_frame(stream, MsgType::kShutdownReply, reply);
       return false;
     }
     default:
-      WireWriter err;
-      err.str("unknown request type " +
-              std::to_string(static_cast<int>(type)));
-      write_frame(stream, MsgType::kError, err);
-      return true;
+      throw std::runtime_error("unknown request type " +
+                               std::to_string(static_cast<int>(type)));
   }
 }
 

@@ -2,19 +2,15 @@
 // drives the async batcher, so out-of-process consumers get gated,
 // versioned embeddings over the wire.
 //
-// Topology: one accept thread + one handler thread per connection. Each
-// handler parses frames and blocks on the batcher future for lookups —
-// which is exactly what makes the design scale on the serving side:
-// concurrent connections' single-key requests coalesce into shared
-// batches inside AsyncLookupService instead of each paying the full
-// per-batch cost. Control-plane requests (try_promote, stats, shutdown)
-// execute on the handler thread directly.
-//
-// The server binds in the constructor (so an ephemeral port is known
-// immediately), but serves only once run() or start() is called. stop()
-// is idempotent and safe from any thread; a kShutdown frame from a client
-// also stops the accept loop, which is how the daemon supports remote
-// shutdown for scripted smoke tests.
+// Connections, threads, stop/shutdown and the connection error policy live
+// in net::FrameServer (net/frame_server.hpp); this class is the dispatch
+// behind it. Lookups block their handler on the batcher future, so
+// concurrent connections' single-key requests coalesce into shared batches
+// inside AsyncLookupService instead of each paying the full per-batch
+// cost. Control-plane requests (try_promote, stats, shutdown) execute on
+// the handler thread directly. A kShutdown frame from a client stops the
+// server, which is how the daemon supports remote shutdown for scripted
+// smoke tests.
 #pragma once
 
 #include <atomic>
@@ -22,12 +18,11 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "ann/ann_service.hpp"
 #include "net/fault.hpp"
-#include "net/socket.hpp"
+#include "net/frame_server.hpp"
 #include "net/wire.hpp"
 #include "obs/drift_probe.hpp"
 #include "obs/heavy_hitters.hpp"
@@ -113,22 +108,21 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  std::uint16_t port() const { return listener_.port(); }
+  std::uint16_t port() const { return frames_.port(); }
 
   /// Serves on the calling thread until stop() is called from elsewhere or
   /// a client sends kShutdown. Handler threads are joined by stop()/dtor.
-  void run();
+  void run() { frames_.run(); }
   /// Serves on a background thread; returns immediately.
-  void start();
-  /// Stops accepting, closes the listener, and joins every thread. Safe to
-  /// call multiple times and from any thread (except a handler's own).
+  void start() { frames_.start(); }
+  /// Stops the drift probe and the connection loop (joining every thread),
+  /// then drains a running canary. Safe to call multiple times and from
+  /// any thread (except a handler's own).
   void stop();
 
   /// True once a client's kShutdown was honored — the daemon's main loop
   /// watches this.
-  bool shutdown_requested() const {
-    return shutdown_requested_.load(std::memory_order_acquire);
-  }
+  bool shutdown_requested() const { return frames_.shutdown_requested(); }
 
   const serve::LookupService& service() const { return service_; }
   serve::AsyncLookupService& async() { return async_; }
@@ -156,10 +150,9 @@ class Server {
   HeatReport heat_report();
 
  private:
-  void accept_loop();
-  void handle_connection(TcpStream stream);
   /// Dispatches one request frame; returns false when the connection
-  /// should close (shutdown honored). `trace` is the frame's trace
+  /// should close (shutdown honored). Serving errors throw and become
+  /// kError replies (FrameServer's policy). `trace` is the frame's trace
   /// context (invalid for untraced requests): traced lookups take the
   /// batcher's traced general path so their spans are recorded.
   bool dispatch(TcpStream& stream, MsgType type,
@@ -190,7 +183,6 @@ class Server {
   serve::LookupService service_;
   serve::AsyncLookupService async_;
   serve::DeploymentGate gate_;
-  TcpListener listener_;
   obs::MetricsRegistry metrics_;
   /// Declared after metrics_ so its background thread (stopped in stop(),
   /// but belt-and-braces for destruction order) dies before the gauges it
@@ -204,15 +196,6 @@ class Server {
   obs::LogHistogram topk_latency_us_;
   obs::LogHistogram topk_cells_probed_;
   obs::LogHistogram topk_shortlist_;
-
-  struct Connection {
-    std::thread thread;
-    std::atomic<bool> done{false};  // set by the handler as it exits
-  };
-  /// Joins and drops finished handlers (every accept-loop iteration), so
-  /// a long-running daemon does not retain one dead thread per
-  /// connection ever served. stop() joins the rest unconditionally.
-  void reap_connections(bool all);
 
   /// The canary-routed data plane: nullptr or inactive → the plain async
   /// path. The pointer is swapped under canary_mu_ by the control plane;
@@ -228,15 +211,9 @@ class Server {
   std::shared_ptr<serve::CanaryRouter> canary_;
   /// Status of a phase-1-rejected canary (no router to ask).
   CanaryStatusReport last_canary_status_;
-  std::atomic<bool> stop_{false};
-  std::atomic<bool> shutdown_requested_{false};
-  /// True while accept_loop() is executing — run() callers have no
-  /// thread for stop() to join, so stop() waits on this flag before
-  /// closing the listener out from under the loop.
-  std::atomic<bool> accept_running_{false};
-  std::thread accept_thread_;
-  std::mutex conn_mu_;
-  std::vector<std::unique_ptr<Connection>> connections_;
+  /// Declared last: its handler threads call dispatch(), so they are
+  /// joined (stop(), or its own destructor) before any member above dies.
+  FrameServer frames_;
 };
 
 }  // namespace anchor::net

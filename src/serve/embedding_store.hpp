@@ -61,7 +61,7 @@ struct SnapshotConfig {
   /// with SHARED codebooks produce codes that are pure functions of the row
   /// bytes, so a router's scatter-gather merge is bit-identical to a
   /// single-process PQ store.
-  std::vector<std::vector<float>> pq_codebooks_override;
+  std::vector<std::vector<float>> pq_codebooks_override{};
   /// Build the hashed character-n-gram table used for OOV fallback
   /// (scatter-averaged from the word vectors, fastText-style).
   bool build_oov_table = true;

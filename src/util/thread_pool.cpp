@@ -1,5 +1,7 @@
 #include "util/thread_pool.hpp"
 
+#include <pthread.h>
+
 #include <atomic>
 #include <cstdlib>
 
@@ -141,12 +143,36 @@ std::size_t default_threads() {
 
 std::mutex g_pool_mu;
 std::unique_ptr<ThreadPool> g_pool;
+std::size_t g_pool_threads = 0;  // last set_global_pool_threads; 0 = default
+
+// fork() copies only the calling thread, so a child inherits a pool whose
+// workers do not exist and whose queued work would never run. The pool
+// lock is held across fork() (no rebuild is mid-flight), and the child
+// abandons the inherited pool — its worker handles cannot be joined — so
+// its next global_pool() call spawns fresh workers (same sizing). Abandoned pools stay
+// reachable from a never-freed list, so leak checkers do not flag them.
+void atfork_prepare() { g_pool_mu.lock(); }
+void atfork_parent() { g_pool_mu.unlock(); }
+void atfork_child() {
+  static auto* abandoned = new std::vector<ThreadPool*>();
+  if (g_pool) abandoned->push_back(g_pool.release());
+  g_pool_mu.unlock();
+}
+
+/// Builds a pool of `n` workers (0 = default sizing); call with g_pool_mu
+/// held. The first call registers the fork handlers.
+std::unique_ptr<ThreadPool> make_pool(std::size_t n) {
+  static const int registered =
+      pthread_atfork(atfork_prepare, atfork_parent, atfork_child);
+  ANCHOR_CHECK_MSG(registered == 0, "pthread_atfork failed");
+  return std::make_unique<ThreadPool>(n == 0 ? default_threads() : n);
+}
 
 }  // namespace
 
 ThreadPool& global_pool() {
   std::lock_guard<std::mutex> lock(g_pool_mu);
-  if (!g_pool) g_pool = std::make_unique<ThreadPool>(default_threads());
+  if (!g_pool) g_pool = make_pool(g_pool_threads);
   return *g_pool;
 }
 
@@ -154,7 +180,8 @@ std::size_t global_pool_threads() { return global_pool().size(); }
 
 void set_global_pool_threads(std::size_t n) {
   std::lock_guard<std::mutex> lock(g_pool_mu);
-  g_pool = std::make_unique<ThreadPool>(n == 0 ? default_threads() : n);
+  g_pool_threads = n;
+  g_pool = make_pool(n);
 }
 
 }  // namespace anchor::util

@@ -77,6 +77,8 @@ class ThreadPool {
 
 /// The process-wide pool. First use constructs it with ANCHOR_THREADS
 /// workers when the variable is set and positive, else hardware concurrency.
+/// Fork-safe: a fork()ed child's first use builds a fresh pool of the same
+/// size instead of queuing onto the parent's (absent) workers.
 ThreadPool& global_pool();
 
 /// Number of workers in the global pool (constructing it on first use).

@@ -3,17 +3,21 @@
 // 127.0.0.1, with the server's accept loop and batcher running on their
 // own threads.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "net/client.hpp"
 #include "net/fault.hpp"
+#include "net/frame_server.hpp"
 #include "net/server.hpp"
 #include "net/socket.hpp"
 #include "net/wire.hpp"
@@ -370,9 +374,15 @@ TEST(Wire, TopKRequestAndResultRoundTrip) {
     EXPECT_EQ(back.rerank, req.rerank);
     EXPECT_EQ(back.mode, req.mode);
     EXPECT_EQ(back.kind, kind);
-    if (kind == kTopKKindId) EXPECT_EQ(back.id, req.id);
-    if (kind == kTopKKindWord) EXPECT_EQ(back.word, req.word);
-    if (kind == kTopKKindVector) EXPECT_EQ(back.vector, req.vector);
+    if (kind == kTopKKindId) {
+      EXPECT_EQ(back.id, req.id);
+    }
+    if (kind == kTopKKindWord) {
+      EXPECT_EQ(back.word, req.word);
+    }
+    if (kind == kTopKKindVector) {
+      EXPECT_EQ(back.vector, req.vector);
+    }
   }
 
   ann::TopKResult result;
@@ -1034,7 +1044,9 @@ TEST_F(RpcTest, SampledLookupTracesEveryBackendStage) {
   // Monotone and well-formed: sorted by start, every span closed.
   for (std::size_t i = 0; i < spans.size(); ++i) {
     EXPECT_LE(spans[i].start_ns, spans[i].end_ns);
-    if (i > 0) EXPECT_GE(spans[i].start_ns, spans[i - 1].start_ns);
+    if (i > 0) {
+      EXPECT_GE(spans[i].start_ns, spans[i - 1].start_ns);
+    }
   }
 
   // The next request is untraced again (set_next_trace is one-shot).
@@ -1322,6 +1334,112 @@ TEST(Sockets, RpcDeadlineUnwedgesAClientOfAHungServer) {
   EXPECT_LT(waited, 5000);  // the deadline fired, not a hang
   done.store(true);
   hung.join();
+}
+
+// ---- frame server ------------------------------------------------------
+
+// Pings answer kPong; kStats throws a serving error, kMetrics a framing
+// error — the two halves of FrameServer's connection error policy.
+bool policy_dispatch(TcpStream& stream, MsgType type,
+                     const std::vector<std::uint8_t>&,
+                     const obs::TraceContext&) {
+  if (type == MsgType::kStats) throw std::runtime_error("no stats here");
+  if (type == MsgType::kMetrics) throw WireError("payload layout mismatch");
+  write_frame(stream, MsgType::kPong, WireWriter());
+  return true;
+}
+
+MsgType round_trip(TcpStream& stream, MsgType request,
+                   std::vector<std::uint8_t>* payload) {
+  write_frame(stream, request, WireWriter());
+  MsgType type{};
+  EXPECT_TRUE(read_frame(stream, &type, payload));
+  return type;
+}
+
+TEST(FrameServer, ServingErrorAnswersErrorAndKeepsTheConnection) {
+  FrameServer frames(0, 20, 2000, obs::TraceStage::kBackendRecv,
+                     policy_dispatch);
+  frames.start();
+  TcpStream raw = TcpStream::connect("127.0.0.1", frames.port());
+  raw.set_io_timeout(5000);
+  std::vector<std::uint8_t> payload;
+  ASSERT_EQ(round_trip(raw, MsgType::kStats, &payload), MsgType::kError);
+  WireReader reader(payload);
+  EXPECT_EQ(reader.str(), "no stats here");
+  // Same connection, next request: still served.
+  EXPECT_EQ(round_trip(raw, MsgType::kPing, &payload), MsgType::kPong);
+  frames.stop();
+}
+
+TEST(FrameServer, WireErrorClosesTheConnectionWithoutAReply) {
+  FrameServer frames(0, 20, 2000, obs::TraceStage::kBackendRecv,
+                     policy_dispatch);
+  frames.start();
+  TcpStream raw = TcpStream::connect("127.0.0.1", frames.port());
+  raw.set_io_timeout(5000);
+  write_frame(raw, MsgType::kMetrics, WireWriter());
+  std::uint8_t byte;
+  EXPECT_FALSE(raw.read_exact_or_eof(&byte, 1));  // clean EOF, no frame
+  // Other connections are unaffected.
+  TcpStream next = TcpStream::connect("127.0.0.1", frames.port());
+  next.set_io_timeout(5000);
+  std::vector<std::uint8_t> payload;
+  EXPECT_EQ(round_trip(next, MsgType::kPing, &payload), MsgType::kPong);
+  frames.stop();
+}
+
+TEST(FrameServer, StopWithAnIdleClientReturnsWithinAPollInterval) {
+  constexpr int kPollMs = 100;
+  // A long io timeout: stop() must be bounded by the poll, not by it.
+  FrameServer frames(0, kPollMs, 30000, obs::TraceStage::kBackendRecv,
+                     policy_dispatch);
+  frames.start();
+  TcpStream idle = TcpStream::connect("127.0.0.1", frames.port());
+  idle.set_io_timeout(5000);
+  std::vector<std::uint8_t> payload;
+  ASSERT_EQ(round_trip(idle, MsgType::kPing, &payload), MsgType::kPong);
+  const auto t0 = std::chrono::steady_clock::now();
+  frames.stop();
+  const auto waited = std::chrono::duration_cast<std::chrono::milliseconds>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+  EXPECT_LT(waited, 5 * kPollMs);
+  // The handler closed its end on the way out.
+  std::uint8_t byte;
+  EXPECT_FALSE(idle.read_exact_or_eof(&byte, 1));
+}
+
+TEST(FrameServer, AcceptFailureIsRetriedInsteadOfFatal) {
+  FrameServer frames(0, 20, 2000, obs::TraceStage::kBackendRecv,
+                     policy_dispatch);
+  frames.start();
+  // Lower the fd limit so exactly one more descriptor fits: the client
+  // socket takes it, and the server's accept() then fails with EMFILE.
+  const int lowest_free = ::dup(0);
+  ASSERT_GE(lowest_free, 0);
+  ::close(lowest_free);
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit tight = saved;
+  tight.rlim_cur = static_cast<rlim_t>(lowest_free) + 1;
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &tight), 0);
+  std::unique_ptr<TcpStream> client;
+  try {
+    client = std::make_unique<TcpStream>(
+        TcpStream::connect("127.0.0.1", frames.port()));
+  } catch (...) {
+    ::setrlimit(RLIMIT_NOFILE, &saved);
+    throw;
+  }
+  // Several accept attempts fail while the limit holds.
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  // The queued connection is accepted on a retry and served.
+  client->set_io_timeout(5000);
+  std::vector<std::uint8_t> payload;
+  EXPECT_EQ(round_trip(*client, MsgType::kPing, &payload), MsgType::kPong);
+  frames.stop();
 }
 
 // ---- fault injection ---------------------------------------------------

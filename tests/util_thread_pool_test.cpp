@@ -2,9 +2,14 @@
 #include "util/thread_pool.hpp"
 
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 namespace anchor {
@@ -115,6 +120,42 @@ TEST(ThreadPool, GlobalPoolResizes) {
   EXPECT_EQ(util::global_pool_threads(), 3u);
   util::set_global_pool_threads(0);  // back to default sizing
   EXPECT_GE(util::global_pool_threads(), 1u);
+}
+
+TEST(ThreadPool, GlobalPoolRunsWorkInAForkedChild) {
+  // fork() keeps only the calling thread: a child that reused the
+  // parent's pool would queue work for workers that do not exist.
+  util::set_global_pool_threads(3);
+  ASSERT_EQ(util::global_pool().submit([] { return 7; }).get(), 7);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    // Child: no gtest assertions here, the exit code is the verdict.
+    std::vector<std::size_t> out(4096, 0);
+    util::global_pool().parallel_for(
+        0, out.size(), [&](std::size_t i) { out[i] = 2 * i; });
+    bool ok = util::global_pool_threads() == 3;
+    for (std::size_t i = 0; i < out.size(); ++i) ok = ok && out[i] == 2 * i;
+    ok = ok && util::global_pool().submit([] { return 11; }).get() == 11;
+    ::_exit(ok ? 0 : 1);
+  }
+  int status = 0;
+  pid_t done = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while ((done = ::waitpid(pid, &status, WNOHANG)) == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  if (done == 0) {
+    ::kill(pid, SIGKILL);
+    ::waitpid(pid, &status, 0);
+    FAIL() << "forked child hung on the global pool";
+  }
+  ASSERT_EQ(done, pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  util::set_global_pool_threads(0);
 }
 
 }  // namespace
