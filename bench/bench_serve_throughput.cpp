@@ -30,13 +30,10 @@
 // The canary section prices the CanaryRouter data plane. Two numbers:
 // the SHADOW overhead (shadow-rate 0.1 vs 0 through the same router —
 // the cost of observing agreement, a few percent) and the ROUTING
-// overhead vs the plain async batch path. The latter is dominated on a
-// 1-core host by the general path's cv-wait latency floor: the hash
-// split turns every full batch into two underfull sub-batches whose
-// flush deadline + promise wakeup cost ~100 µs of timer slack per
-// request with a single blocking driver. With concurrent clients the
-// sub-batches coalesce across requests and that floor amortizes away —
-// re-measure on multicore before reading it as steady-state cost.
+// overhead vs the plain async batch path. Multi-key requests execute on
+// the caller's thread (no flush timer or thread handoff), so the routing
+// overhead is the hash split itself: two smaller lookups (~58 + ~6 keys)
+// instead of one, plus the scatter back into request order.
 //
 // The cluster section prices the shard router's scatter-gather data
 // plane: batch-64 lookups over loopback TCP against one direct backend
@@ -114,7 +111,7 @@ serve::StatsSnapshot run_cell(serve::LookupService& service, int threads,
 }
 
 /// Coalesced single-key traffic: every request carries ONE key; each
-/// client pipelines kAsyncWindow futures so the dispatcher always has
+/// client pipelines kAsyncWindow futures so the combiner always has
 /// enough queued keys to form full batches (a blocking client per thread
 /// would cap coalesced batches at `threads` keys).
 serve::StatsSnapshot run_async_cell(const serve::LookupService& service,
@@ -269,7 +266,7 @@ int main(int argc, char** argv) {
                "can cost more than the unpack it saves.\n";
 
   // Async coalescing: single-key futures only, batching done entirely by
-  // the AsyncLookupService dispatcher. Compare against "int8 nocache"
+  // the AsyncLookupService flat-combining ring. Compare against "int8 nocache"
   // above — that is the native lookup_batch(kBatch) hot path the
   // coalesced traffic is trying to match.
   std::cout << "\nasync coalesced single-key (window=" << kAsyncWindow
@@ -339,11 +336,10 @@ int main(int argc, char** argv) {
   serve::LookupService canary_backend(store, {.cache_rows_per_shard = 0});
   serve::BatcherConfig canary_batcher;
   canary_batcher.max_batch_size = kBatch;
-  // The hash split turns each 64-key request into two underfull
-  // sub-batches (~6 + ~58 keys), so with blocking drivers the flush
-  // deadline — not the lookup — dominates. 20 µs is a latency-tuned
-  // serving value; the same batcher serves the baseline cell, keeping
-  // the comparison apples-to-apples.
+  // Only a one-key sub-request of the hash split takes the single-key
+  // ring, whose flush deadline this bounds; 20 µs is a latency-tuned
+  // serving value. The same batcher serves the baseline cell, keeping the
+  // comparison apples-to-apples.
   canary_batcher.max_wait_us = 20;
   serve::AsyncLookupService canary_primary(canary_backend, canary_batcher);
   serve::GateConfig canary_gate;

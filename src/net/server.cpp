@@ -399,8 +399,8 @@ bool Server::dispatch(TcpStream& stream, MsgType type,
         encode_lookup_result(merged, &reply);
       } else {
         // Single keys ride the allocation-free ring fast path; bigger
-        // requests coalesce on the general path. Traced requests always
-        // take the general path — the ring's slots carry no trace, and a
+        // requests execute on this thread. Traced requests always take
+        // the general path — the ring's slots carry no trace, and a
         // sampled request is rare enough that the span fidelity is worth
         // more than the fast path.
         const serve::ResultSlice slice =
@@ -448,10 +448,9 @@ bool Server::dispatch(TcpStream& stream, MsgType type,
       if (!ann_) {
         throw std::runtime_error("TOPK serving is disabled on this server");
       }
-      // Resolve the query vector. Id/word queries ride the batcher like
-      // any lookup, so TOPK resolution coalesces with concurrent lookup
-      // traffic instead of bypassing the serving path (and OOV words
-      // search from their synthesized vector, same as a lookup).
+      // Resolve the query vector through the batcher like any lookup: an
+      // id query coalesces with concurrent single-key traffic, and OOV
+      // words search from their synthesized vector, same as a lookup.
       std::vector<float> query;
       if (req.kind == kTopKKindVector) {
         query = std::move(req.vector);

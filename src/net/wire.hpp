@@ -378,8 +378,8 @@ inline constexpr std::uint8_t kTopKModeCandidates = 1;
 
 /// kind — how the query vector is specified:
 ///   kTopKKindId / kTopKKindWord resolve a live-store row through the
-///   server's batcher (coalescing with concurrent lookups) and search for
-///   its neighbors; kTopKKindVector carries a raw float vector (what the
+///   server's batcher (an id coalesces with concurrent single-key
+///   lookups) and search for its neighbors; kTopKKindVector carries a raw float vector (what the
 ///   router sends shards after resolving the query itself).
 inline constexpr std::uint8_t kTopKKindId = 0;
 inline constexpr std::uint8_t kTopKKindWord = 1;

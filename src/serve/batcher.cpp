@@ -1,10 +1,10 @@
 #include "serve/batcher.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <exception>
-#include <limits>
 #include <optional>
-#include <stdexcept>
+#include <thread>
 #include <utility>
 
 #include "util/check.hpp"
@@ -49,7 +49,6 @@ AsyncLookupService::AsyncLookupService(const LookupService& service,
       stats_(stats ? std::move(stats) : std::make_shared<ServeStats>()),
       holds_(std::make_shared<HoldFreelist>()) {
   if (config_.max_batch_size == 0) config_.max_batch_size = 1;
-  if (config_.max_inflight_batches == 0) config_.max_inflight_batches = 1;
   // The ring must fit at least two full batches so a combiner never
   // deadlocks producers of the batch after the one it is executing.
   const std::size_t cap = round_up_pow2(
@@ -59,19 +58,15 @@ AsyncLookupService::AsyncLookupService(const LookupService& service,
     slots_[p].seq.store(p, std::memory_order_relaxed);
   }
   ring_mask_ = cap - 1;
-  dispatcher_ = std::thread([this] { dispatcher_loop(); });
 }
 
 AsyncLookupService::~AsyncLookupService() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  dispatcher_.join();
   // Fast-path contract: every SliceFuture was consumed by now, so the
-  // ring is quiescent. Outstanding ResultSlices are fine — their buffers
-  // are owned by the shared freelist, not by this object.
+  // ring is quiescent; only pool tasks may still be publishing stats.
+  // Outstanding ResultSlices are fine — their buffers are owned by the
+  // shared freelist, not by this object.
+  std::unique_lock<std::mutex> lock(mu_);
+  inflight_cv_.wait(lock, [this] { return inflight_ == 0; });
 }
 
 bool AsyncLookupService::use_pool() const {
@@ -215,8 +210,7 @@ bool AsyncLookupService::combine_once() {
   lock.unlock();  // claim done; execution needs no combiner exclusivity
 
   if (use_pool()) {
-    // Count the task in inflight_ so the dispatcher's shutdown wait (and
-    // therefore the destructor) covers fast-path pool tasks too — the
+    // Count the task in inflight_ so the destructor waits for it — the
     // task touches `this` (stats_, holds_) after publishing results.
     {
       std::lock_guard<std::mutex> count_lock(mu_);
@@ -227,10 +221,10 @@ bool AsyncLookupService::combine_once() {
                                                                    boxes);
     util::global_pool().submit([this, oldest_ns, task] {
       execute_fast_batch(task->first, task->second, oldest_ns);
-      {
-        std::lock_guard<std::mutex> count_lock(mu_);
-        --inflight_;
-      }
+      // Notify under the lock: once the destructor can observe 0 it may
+      // destroy the condition variable.
+      std::lock_guard<std::mutex> count_lock(mu_);
+      --inflight_;
       inflight_cv_.notify_all();
     });
   } else {
@@ -410,74 +404,81 @@ void AsyncLookupService::SliceFuture::consume_if_pending() {
 
 // ---- general path ------------------------------------------------------
 
-std::future<ResultSlice> AsyncLookupService::enqueue(Request req) {
-  req.enqueued = std::chrono::steady_clock::now();
-  std::future<ResultSlice> fut = req.promise.get_future();
-  bool notify = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stop_) {
-      req.promise.set_exception(std::make_exception_ptr(std::runtime_error(
-          "AsyncLookupService: request after shutdown")));
-      return fut;
-    }
-    // Wake the dispatcher only on the transitions it can act on: queue
-    // became non-empty (it may be sleeping with nothing to wait for) or
-    // the batch just filled (it is otherwise sleeping until the age
-    // deadline and would flush late).
-    const bool was_empty = queue_.empty();
-    queued_keys_ += req.key_count;
-    queue_.push_back(std::move(req));
-    notify = was_empty || queued_keys_ >= config_.max_batch_size;
-  }
-  if (notify) cv_.notify_one();
-  return fut;
-}
+template <typename Lookup>
+std::future<ResultSlice> AsyncLookupService::run_request(
+    std::size_t keys, const obs::TraceContext& trace, Lookup&& lookup) {
+  const std::uint64_t called_ns = obs::Tracer::now_ns();
+  std::promise<ResultSlice> promise;
+  std::future<ResultSlice> fut = promise.get_future();
+  const std::uint64_t exec_start_ns =
+      trace.sampled() ? obs::Tracer::now_ns() : called_ns;
 
-std::future<ResultSlice> AsyncLookupService::lookup_word(std::string word) {
-  Request req;
-  req.kind = Request::Kind::kWord;
-  req.word = std::move(word);
-  req.key_count = 1;
-  return enqueue(std::move(req));
+  std::shared_ptr<LookupResult> result;
+  std::exception_ptr error;
+  try {
+    // The thread-local Scope lets LookupService (whose API predates
+    // tracing) attribute its dequantize span to this request's trace.
+    std::optional<obs::Tracer::Scope> scope;
+    if (trace.sampled()) scope.emplace(trace);
+    if (keys > 0) {
+      result = std::make_shared<LookupResult>();
+      lookup(result.get());
+    }
+  } catch (...) {
+    error = std::current_exception();
+  }
+  const std::uint64_t exec_end_ns = obs::Tracer::now_ns();
+
+  if (!error) {
+    const double latency_us =
+        static_cast<double>(exec_end_ns - called_ns) / 1000.0;
+    stats_->record_batch(keys, latency_us);
+    if (config_.windowed != nullptr) {
+      config_.windowed->record_many(latency_us, keys, 0);
+    }
+  }
+  if (trace.sampled()) {
+    obs::Tracer& tracer = obs::Tracer::instance();
+    tracer.record(trace, obs::TraceStage::kBatchQueue, called_ns,
+                  exec_start_ns);
+    tracer.record(trace, obs::TraceStage::kBatchExec, exec_start_ns,
+                  exec_end_ns);
+  }
+
+  if (error) {
+    promise.set_exception(error);
+  } else {
+    promise.set_value(ResultSlice(std::move(result), 0, keys));
+  }
+  return fut;
 }
 
 std::future<ResultSlice> AsyncLookupService::lookup_ids(
     std::vector<std::size_t> ids) {
-  Request req;
-  req.kind = Request::Kind::kIds;
-  req.key_count = ids.size();
-  req.ids = std::move(ids);
-  return enqueue(std::move(req));
+  return lookup_ids(std::move(ids), obs::TraceContext{});
+}
+
+std::future<ResultSlice> AsyncLookupService::lookup_word(std::string word) {
+  return lookup_words({std::move(word)}, obs::TraceContext{});
 }
 
 std::future<ResultSlice> AsyncLookupService::lookup_words(
     std::vector<std::string> words) {
-  Request req;
-  req.kind = Request::Kind::kWords;
-  req.key_count = words.size();
-  req.words = std::move(words);
-  return enqueue(std::move(req));
+  return lookup_words(std::move(words), obs::TraceContext{});
 }
 
 std::future<ResultSlice> AsyncLookupService::lookup_ids(
     std::vector<std::size_t> ids, const obs::TraceContext& trace) {
-  Request req;
-  req.kind = Request::Kind::kIds;
-  req.key_count = ids.size();
-  req.ids = std::move(ids);
-  req.trace = trace;
-  return enqueue(std::move(req));
+  return run_request(ids.size(), trace, [&](LookupResult* out) {
+    service_.lookup_ids_into(ids, out);
+  });
 }
 
 std::future<ResultSlice> AsyncLookupService::lookup_words(
     std::vector<std::string> words, const obs::TraceContext& trace) {
-  Request req;
-  req.kind = Request::Kind::kWords;
-  req.key_count = words.size();
-  req.words = std::move(words);
-  req.trace = trace;
-  return enqueue(std::move(req));
+  return run_request(words.size(), trace, [&](LookupResult* out) {
+    service_.lookup_words_into(words, out);
+  });
 }
 
 std::size_t AsyncLookupService::pending() const {
@@ -486,170 +487,7 @@ std::size_t AsyncLookupService::pending() const {
   // reverse order could observe tail > the stale head and wrap).
   const std::uint64_t tail = tail_.load(std::memory_order_acquire);
   const std::uint64_t head = head_.load(std::memory_order_acquire);
-  const std::size_t ring_pending =
-      head > tail ? static_cast<std::size_t>(head - tail) : 0;
-  std::lock_guard<std::mutex> lock(mu_);
-  return ring_pending + queue_.size();
-}
-
-void AsyncLookupService::dispatcher_loop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    if (queue_.empty()) {
-      if (stop_) break;
-      cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      continue;
-    }
-    // Wait for a full batch or for the oldest request to age out. On stop
-    // the remaining queue flushes immediately — every accepted request is
-    // served, so a future handed out is always eventually ready.
-    if (!stop_ && queued_keys_ < config_.max_batch_size) {
-      const auto deadline = queue_.front().enqueued +
-                            std::chrono::microseconds(config_.max_wait_us);
-      while (!stop_ && queued_keys_ < config_.max_batch_size) {
-        if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) break;
-      }
-      if (queue_.empty()) continue;
-    }
-
-    // Drain whole requests until the key budget is spent. Requests are
-    // never split; an oversized request flushes alone.
-    std::vector<Request> batch;
-    std::size_t keys = 0;
-    while (!queue_.empty()) {
-      const std::size_t next = queue_.front().key_count;
-      if (!batch.empty() && keys + next > config_.max_batch_size) break;
-      keys += next;
-      batch.push_back(std::move(queue_.front()));
-      queue_.pop_front();
-      if (keys >= config_.max_batch_size) break;
-    }
-    queued_keys_ -= keys;
-
-    if (use_pool()) {
-      inflight_cv_.wait(
-          lock, [this] { return inflight_ < config_.max_inflight_batches; });
-      ++inflight_;
-      lock.unlock();
-      // shared_ptr because std::function requires copyable callables.
-      auto shared_batch =
-          std::make_shared<std::vector<Request>>(std::move(batch));
-      util::global_pool().submit(
-          [this, shared_batch] { run_batch(std::move(*shared_batch)); });
-    } else {
-      ++inflight_;
-      lock.unlock();
-      run_batch(std::move(batch));
-    }
-    lock.lock();
-  }
-  // Queue is empty and stop_ is set; wait for pool-executed batches so
-  // the destructor can return with no task still referencing `this`.
-  inflight_cv_.wait(lock, [this] { return inflight_ == 0; });
-}
-
-void AsyncLookupService::run_batch(std::vector<Request> batch) {
-  // Group keys by kind, preserving arrival order within each group; one
-  // lookup per non-empty group, shared by every waiter of that kind.
-  thread_local std::vector<std::size_t> ids;
-  thread_local std::vector<std::string> words;
-  ids.clear();
-  words.clear();
-  std::size_t keys = 0;
-  auto oldest = batch.front().enqueued;
-  for (const Request& r : batch) {
-    keys += r.key_count;
-    if (r.enqueued < oldest) oldest = r.enqueued;
-    switch (r.kind) {
-      case Request::Kind::kIds:
-        ids.insert(ids.end(), r.ids.begin(), r.ids.end());
-        break;
-      case Request::Kind::kWord:
-        words.push_back(r.word);
-        break;
-      case Request::Kind::kWords:
-        words.insert(words.end(), r.words.begin(), r.words.end());
-        break;
-    }
-  }
-
-  // One batch may carry several traced requests; each gets its own
-  // batch_queue / batch_exec spans against the shared execution window.
-  const Request* traced = nullptr;
-  for (const Request& r : batch) {
-    if (r.trace.sampled()) {
-      traced = &r;
-      break;
-    }
-  }
-  const std::uint64_t exec_start_ns =
-      traced != nullptr ? obs::Tracer::now_ns() : 0;
-
-  std::shared_ptr<LookupResult> id_result, word_result;
-  std::exception_ptr error;
-  try {
-    // The thread-local Scope lets LookupService (whose API predates
-    // tracing) attribute its dequantize span to this batch's trace.
-    std::optional<obs::Tracer::Scope> scope;
-    if (traced != nullptr) scope.emplace(traced->trace);
-    if (!ids.empty()) {
-      id_result = std::make_shared<LookupResult>();
-      service_.lookup_ids_into(ids, id_result.get());
-    }
-    if (!words.empty()) {
-      word_result = std::make_shared<LookupResult>();
-      service_.lookup_words_into(words, word_result.get());
-    }
-  } catch (...) {
-    error = std::current_exception();
-  }
-
-  // Stats before fulfilling the promises, for the same
-  // caller-sees-its-own-lookup ordering the fast path guarantees.
-  if (!error) {
-    const double latency_us = std::chrono::duration<double, std::micro>(
-                                  std::chrono::steady_clock::now() - oldest)
-                                  .count();
-    stats_->record_batch(keys, latency_us);
-    if (config_.windowed != nullptr) {
-      config_.windowed->record_many(latency_us, keys, 0);
-    }
-  }
-
-  if (traced != nullptr) {
-    const std::uint64_t exec_end_ns = obs::Tracer::now_ns();
-    obs::Tracer& tracer = obs::Tracer::instance();
-    for (const Request& r : batch) {
-      if (!r.trace.sampled()) continue;
-      tracer.record(r.trace, obs::TraceStage::kBatchQueue,
-                    static_cast<std::uint64_t>(
-                        r.enqueued.time_since_epoch().count()),
-                    exec_start_ns);
-      tracer.record(r.trace, obs::TraceStage::kBatchExec, exec_start_ns,
-                    exec_end_ns);
-    }
-  }
-
-  std::size_t id_off = 0, word_off = 0;
-  for (Request& r : batch) {
-    if (error) {
-      r.promise.set_exception(error);
-      continue;
-    }
-    if (r.kind == Request::Kind::kIds) {
-      r.promise.set_value(ResultSlice(id_result, id_off, r.key_count));
-      id_off += r.key_count;
-    } else {
-      r.promise.set_value(ResultSlice(word_result, word_off, r.key_count));
-      word_off += r.key_count;
-    }
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    --inflight_;
-  }
-  inflight_cv_.notify_all();
+  return head > tail ? static_cast<std::size_t>(head - tail) : 0;
 }
 
 }  // namespace anchor::serve

@@ -1,58 +1,54 @@
-// Async batching front-end over LookupService — the request-coalescing
-// server core (the cuBERT/CTranslate2 pattern).
+// Async front-end over LookupService — the request-coalescing server core
+// (the cuBERT/CTranslate2 pattern) for single-key traffic, and a direct
+// path for everything else.
 //
-// Requests from any number of client threads are coalesced into batches
-// of up to `max_batch_size` keys (or whatever has accumulated once the
-// oldest waiter has aged `max_wait_us`) and executed through
-// LookupService::lookup_ids_into / lookup_words_into — so N callers doing
-// blocking single-key lookups ride the same batched cache/dequantize hot
-// path a native batch caller gets, amortizing per-batch overhead
-// (snapshot resolve, shard locks, stats) across all of them.
-//
-// Two internal paths share that policy:
-//
-// 1. SINGLE-KEY ID FAST PATH (`lookup_id` → SliceFuture): a fixed ring of
-//    slots with Vyukov-style per-slot sequence numbers. Enqueue is one
-//    atomic fetch_add plus a release store — no mutex, no heap allocation,
-//    no promise. Batches are executed by *flat combining*: the enqueuer
-//    that fills a batch, or a waiter whose deadline expires, claims the
-//    combiner lock, drains up to max_batch_size slots, runs ONE
+// 1. SINGLE-KEY ID FAST PATH (`lookup_id` → SliceFuture): requests from any
+//    number of client threads are coalesced into batches of up to
+//    `max_batch_size` keys (or whatever has accumulated once the oldest
+//    waiter has aged `max_wait_us`) and executed through one
+//    LookupService::lookup_ids_into — so N callers doing blocking
+//    single-key lookups ride the same batched cache/dequantize hot path a
+//    native batch caller gets, amortizing per-batch overhead (snapshot
+//    resolve, shard locks, stats) across all of them. The queue is a fixed
+//    ring of slots with Vyukov-style per-slot sequence numbers. Enqueue is
+//    one CAS on the ring head plus a release store — no mutex, no
+//    promise, and no heap allocation once warm. Batches are executed by *flat combining*: the
+//    enqueuer that fills a batch, or a waiter whose deadline expires,
+//    claims the combiner lock, drains up to max_batch_size slots, runs ONE
 //    lookup_ids_into, and scatters result offsets back into the slots.
-//    There is no dispatcher thread on this path at all, so on a single
-//    core the produce→combine→consume cycle costs no context switches.
+//    There is no dispatcher thread, so on a single core the
+//    produce→combine→consume cycle costs no context switches.
 //    Contract: every SliceFuture must be consumed (get() or destroyed)
 //    before the service is destroyed.
 //
-// 2. GENERAL PATH (`lookup_ids`/`lookup_word(s)` → std::future): an MPMC
-//    deque drained by a dispatcher thread. Multi-key and word requests
-//    amortize their per-request promise cost over many keys, so the
-//    simpler machinery is the right tradeoff; destruction drains the
-//    queue (every future still completes).
+// 2. GENERAL PATH (`lookup_ids`/`lookup_word(s)` → std::future): a
+//    multi-key or word request already is a batch, so it executes on the
+//    caller's thread as one lookup_*_into and returns an already-satisfied
+//    future. There is no queue, timer or thread handoff; concurrent
+//    callers (one per connection handler) execute in parallel, which
+//    LookupService's const path allows. `max_wait_us`, `max_batch_size`,
+//    `ring_capacity` and `exec` govern only the fast path.
 //
-// Scatter is zero-copy on both paths: each coalesced batch produces ONE
+// Scatter is zero-copy on the fast path: each coalesced batch produces ONE
 // LookupResult and every waiter's future resolves to a ResultSlice — an
-// (offset, count) view into that shared buffer. Fast-path result buffers
-// are recycled through a freelist, so the steady state allocates nothing
-// per batch.
+// (offset, count) view into that shared buffer. Result buffers are
+// recycled through a freelist, so the steady state allocates nothing per
+// batch. A general-path slice views its own request's result.
 //
-// Execution placement: with a multi-worker util::global_pool coalesced
-// batches are submitted to the shared pool so several can be in flight at
-// once (bounded by `max_inflight_batches` on the general path); with a
-// single-worker pool (1-core hosts) there is no overlap to win and the
-// combiner/dispatcher executes inline, skipping the pool's queue+wake
-// cost.
+// Execution placement (fast path): with a multi-worker util::global_pool
+// coalesced batches are submitted to the shared pool so several can be in
+// flight at once; with a single-worker pool (1-core hosts) there is no
+// overlap to win and the combiner executes inline, skipping the pool's
+// queue+wake cost.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "obs/trace.hpp"
@@ -62,15 +58,13 @@
 
 namespace anchor::serve {
 
+/// Fast-path (single-key ring) policy; the general path has no knobs.
 struct BatcherConfig {
-  /// Flush a coalesced batch once this many keys are waiting. Requests are
-  /// never split: a single request larger than this flushes alone.
+  /// Flush a coalesced batch once this many keys are waiting.
   std::size_t max_batch_size = 64;
   /// Flush once the oldest queued request has waited this long, even if
   /// the batch is not full — bounds added latency under light traffic.
   std::uint32_t max_wait_us = 100;
-  /// Coalesced batches concurrently in flight when executing on the pool.
-  std::size_t max_inflight_batches = 4;
   /// Fast-path ring slots (rounded up to a power of two). Bounds only the
   /// burst of enqueued-but-not-yet-coalesced single-key requests — slots
   /// are freed when a combiner claims them, not when results are
@@ -80,17 +74,17 @@ struct BatcherConfig {
   std::size_t ring_capacity = 1024;
   /// Where coalesced batches execute. kAuto picks the shared
   /// util::global_pool when it has more than one worker (overlap exists to
-  /// win) and the combining/dispatcher thread itself otherwise.
+  /// win) and the combining thread itself otherwise.
   enum class Exec { kAuto, kPool, kInline };
   Exec exec = Exec::kAuto;
-  /// When set, every coalesced flush is recorded as a windowed slice
+  /// When set, every executed batch is recorded as a windowed slice
   /// (keys with their shared client-observed latency), so the rolling
   /// batch QPS rides the same ring the RPC plane uses. Not owned; must
   /// outlive the service.
   obs::WindowedStats* windowed = nullptr;
 };
 
-/// One caller's slice of a coalesced batch result: rows
+/// One caller's slice of a batch result: rows
 /// [first, first+count) of the shared LookupResult. Copyable; holding any
 /// slice keeps the whole batch buffer alive.
 class ResultSlice {
@@ -106,7 +100,7 @@ class ResultSlice {
   const float* row(std::size_t i) const { return batch_->row(first_ + i); }
   bool oov(std::size_t i) const { return batch_->oov[first_ + i] != 0; }
   const std::string& version() const { return batch_->version; }
-  /// The whole coalesced result this slice views (shared with co-batched
+  /// The whole result this slice views (shared with co-batched fast-path
   /// waiters); null for a default-constructed or empty-request slice.
   const std::shared_ptr<const LookupResult>& batch() const { return batch_; }
 
@@ -171,16 +165,18 @@ class AsyncLookupService {
     std::int64_t deadline_ns_ = 0;
   };
 
-  /// The service must outlive this object. `stats` records *coalesced*
-  /// batches with client-observed latency (enqueue of the oldest waiter →
-  /// scatter), one record per flush — the underlying LookupService's own
-  /// stats keep counting the executed batches. Null = internal instance.
+  /// The service must outlive this object. `stats` records one entry per
+  /// executed batch — a coalesced fast-path flush or one general request —
+  /// with client-observed latency (enqueue of the oldest waiter → scatter);
+  /// the underlying LookupService's own stats keep counting the executed
+  /// batches too. Null = internal instance.
   explicit AsyncLookupService(const LookupService& service,
                               BatcherConfig config = {},
                               std::shared_ptr<ServeStats> stats = nullptr);
-  /// Drains every queued general-path request (each future still
-  /// completes) and stops the dispatcher. Fast-path contract: every
-  /// SliceFuture was consumed before destruction.
+  /// Waits for fast-path batches still executing on the pool. Contract:
+  /// every SliceFuture was consumed before destruction. General-path
+  /// futures are satisfied before they are returned, so they may outlive
+  /// the service.
   ~AsyncLookupService();
   AsyncLookupService(const AsyncLookupService&) = delete;
   AsyncLookupService& operator=(const AsyncLookupService&) = delete;
@@ -189,19 +185,18 @@ class AsyncLookupService {
   /// by the allocation-free ring + flat combining fast path.
   SliceFuture lookup_id(std::size_t id);
 
-  /// General path: multi-key and word requests coalesce with each other
-  /// on the dispatcher thread; the slice spans the request's keys in
-  /// order. The future throws if the underlying lookup threw (e.g. empty
-  /// store) or the service was destroyed before the request was queued.
+  /// General path: the request executes on the calling thread and the
+  /// returned future is already satisfied; the slice spans the request's
+  /// keys in order. The future throws if the underlying lookup threw (e.g.
+  /// empty store).
   std::future<ResultSlice> lookup_ids(std::vector<std::size_t> ids);
   std::future<ResultSlice> lookup_word(std::string word);
   std::future<ResultSlice> lookup_words(std::vector<std::string> words);
 
-  /// Traced variants: the request carries `trace` through the queue, so
-  /// run_batch records its batch_queue / batch_exec spans (and installs a
-  /// Tracer::Scope so the LookupService underneath attributes its
-  /// dequantize span). Untraced contexts behave exactly like the plain
-  /// overloads.
+  /// Traced variants: record the request's batch_queue (call → execution
+  /// start) / batch_exec spans and install a Tracer::Scope so the
+  /// LookupService underneath attributes its dequantize span. Untraced
+  /// contexts behave exactly like the plain overloads.
   std::future<ResultSlice> lookup_ids(std::vector<std::size_t> ids,
                                       const obs::TraceContext& trace);
   std::future<ResultSlice> lookup_words(std::vector<std::string> words,
@@ -211,8 +206,8 @@ class AsyncLookupService {
   ServeStats& stats() { return *stats_; }
   const BatcherConfig& config() const { return config_; }
 
-  /// Requests currently queued (not yet flushed), both paths. For
-  /// tests/monitoring.
+  /// Fast-path requests currently queued (not yet claimed by a combiner).
+  /// For tests/monitoring.
   std::size_t pending() const;
 
  private:
@@ -287,29 +282,15 @@ class AsyncLookupService {
   static Mailbox* alloc_box();
   static void free_box(Mailbox* box);
 
-  // ---- general path: request deque + dispatcher ------------------------
+  // ---- general path: executes on the caller's thread -----------------
 
-  struct Request {
-    enum class Kind { kIds, kWord, kWords };
-    Kind kind = Kind::kIds;
-    std::string word;
-    std::vector<std::size_t> ids;
-    std::vector<std::string> words;
-    std::size_t key_count = 0;
-    std::chrono::steady_clock::time_point enqueued;
-    std::promise<ResultSlice> promise;
-    /// Invalid for untraced requests (the common case — no overhead
-    /// beyond the copy).
-    obs::TraceContext trace;
-  };
-
-  std::future<ResultSlice> enqueue(Request req);
-  void dispatcher_loop();
-  /// Executes one coalesced general-path batch (dispatcher thread or pool
-  /// worker): groups ids and words, runs one lookup_*_into per non-empty
-  /// group, scatters slices to every waiter, records stats, releases the
-  /// in-flight slot.
-  void run_batch(std::vector<Request> batch);
+  /// Runs `lookup(LookupResult*)` for a `keys`-key request and returns
+  /// the satisfied future; records stats and, for a sampled `trace`, the
+  /// batch_queue / batch_exec spans.
+  template <typename Lookup>
+  std::future<ResultSlice> run_request(std::size_t keys,
+                                       const obs::TraceContext& trace,
+                                       Lookup&& lookup);
   bool use_pool() const;
 
   const LookupService& service_;
@@ -324,15 +305,10 @@ class AsyncLookupService {
   std::mutex combine_mu_;
   std::shared_ptr<HoldFreelist> holds_;
 
-  // General path state.
-  mutable std::mutex mu_;
-  std::condition_variable cv_;           // wakes the dispatcher
-  std::condition_variable inflight_cv_;  // throttles pool submission
-  std::deque<Request> queue_;
-  std::size_t queued_keys_ = 0;
+  // Fast-path batches executing on the pool; the destructor waits for 0.
+  std::mutex mu_;
+  std::condition_variable inflight_cv_;
   std::size_t inflight_ = 0;
-  bool stop_ = false;
-  std::thread dispatcher_;
 };
 
 }  // namespace anchor::serve

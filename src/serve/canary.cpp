@@ -454,36 +454,32 @@ void CanaryRouter::route_into(const std::vector<Key>& keys,
 
   // The mirror rides the SAME incumbent sub-request, as its tail rows:
   // no third request, no extra wakeup chain — a shadow costs its keys'
-  // lookup work and nothing else. Issue both sides before blocking on
-  // either so they execute concurrently.
+  // lookup work and nothing else.
   const std::size_t inc_only = inc_keys.size();
   inc_keys.insert(inc_keys.end(), shadow_keys.begin(), shadow_keys.end());
-  const auto t0 = std::chrono::steady_clock::now();
-  Pending cand, inc;
-  cand.issue(candidate_async_, std::move(cand_keys));
-  inc.issue(incumbent_traffic_, std::move(inc_keys));
 
-  // Incumbent first, then candidate: cand_us − inc_us is then the
-  // non-negative completion skew — how much later the candidate side's
-  // answer arrived than the incumbent side's, queue wait included (0
-  // when the candidate was already done).
-  ResultSlice inc_slice;
-  double inc_us = 0.0;
-  if (inc.valid) {
-    inc_slice = inc.get();
-    inc_us = elapsed_us(t0);
-    scatter_slice(ResultSlice(inc_slice.batch(), inc_slice.first(), inc_only),
-                  inc_slots, out);
-  }
-  ResultSlice cand_slice;
-  double cand_us = 0.0;
-  if (cand.valid) {
-    cand_slice = cand.get();
-    cand_us = elapsed_us(t0);
-    scatter_slice(cand_slice, cand_slots, out);
-  }
+  // Each side completes before the other is issued (a multi-key side
+  // executes on this thread inside issue() anyway), so each is timed
+  // alone and cand_us − inc_us is the candidate side's extra latency.
+  const auto run_side = [](AsyncLookupService& svc, std::vector<Key> side,
+                           ResultSlice* slice) {
+    const auto t0 = std::chrono::steady_clock::now();
+    Pending p;
+    p.issue(svc, std::move(side));
+    if (!p.valid) return 0.0;
+    *slice = p.get();
+    return elapsed_us(t0);
+  };
+  ResultSlice inc_slice, cand_slice;
+  const double inc_us =
+      run_side(incumbent_traffic_, std::move(inc_keys), &inc_slice);
+  scatter_slice(ResultSlice(inc_slice.batch(), inc_slice.first(), inc_only),
+                inc_slots, out);
+  const double cand_us =
+      run_side(candidate_async_, std::move(cand_keys), &cand_slice);
+  scatter_slice(cand_slice, cand_slots, out);
 
-  if (!shadow_keys.empty() && cand.valid) {
+  if (!shadow_keys.empty()) {
     const ResultSlice mirror(inc_slice.batch(), inc_slice.first() + inc_only,
                              shadow_keys.size());
     score_shadows(self_probe_ids(shadow_keys), shadow_cand_rows, cand_slice,

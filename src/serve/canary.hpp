@@ -213,7 +213,7 @@ class CanaryStats {
 /// Thread-safe: lookups may come from any number of serving threads; the
 /// decision runs exactly once under an internal mutex. Incumbent-side
 /// traffic flows through the caller's AsyncLookupService (so canary and
-/// regular traffic coalesce into the same batches); candidate-side
+/// regular traffic share its single-key ring and stats); candidate-side
 /// traffic flows through the router's own async stack pinned to the
 /// evaluated candidate snapshot.
 class CanaryRouter {

@@ -5,11 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstring>
 #include <deque>
 #include <future>
 #include <thread>
 #include <vector>
 
+#include "obs/trace.hpp"
 #include "serve/batcher.hpp"
 #include "serve/demo_store.hpp"
 #include "serve/serve.hpp"
@@ -155,7 +158,7 @@ TEST_F(AsyncLookupTest, EmptyRequestResolvesToEmptySlice) {
 
 TEST_F(AsyncLookupTest, DestructorDrainsQueuedGeneralRequests) {
   // General (promise) path only: std::futures outlive the service and
-  // must still complete because destruction drains the dispatcher queue.
+  // must still complete, whatever the service's flush policy.
   LookupService service(store_);
   BatcherConfig config;
   config.max_batch_size = 4096;           // nothing flushes on size...
@@ -174,6 +177,69 @@ TEST_F(AsyncLookupTest, DestructorDrainsQueuedGeneralRequests) {
     EXPECT_FALSE(slice.oov(0));
     EXPECT_EQ(slice.row(0)[0], service.lookup_ids({i}).row(0)[0]);
   }
+}
+
+TEST_F(AsyncLookupTest, GeneralPathFuturesAreReadyOnReturn) {
+  // A flush policy that never fires on size or age: multi-key and word
+  // requests must not wait for it — they execute on the calling thread.
+  LookupService service(store_);
+  BatcherConfig config;
+  config.max_batch_size = 4096;
+  config.max_wait_us = 60 * 1000 * 1000;
+  AsyncLookupService async(service, config);
+
+  const std::vector<std::size_t> ids = {3, 0, kVocab + 9, 77, 3};
+  const std::vector<std::string> words = {"w12", "not-a-word", "w0"};
+  std::future<ResultSlice> ids_fut = async.lookup_ids(ids);
+  EXPECT_EQ(ids_fut.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  std::future<ResultSlice> words_fut = async.lookup_words(words);
+  EXPECT_EQ(words_fut.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+
+  // Bit-identical to the synchronous service, row by row.
+  const auto expect_identical = [](const ResultSlice& slice,
+                                   const LookupResult& direct) {
+    ASSERT_EQ(slice.size(), direct.size());
+    EXPECT_EQ(slice.version(), direct.version);
+    for (std::size_t r = 0; r < slice.size(); ++r) {
+      EXPECT_EQ(slice.oov(r), direct.oov[r] != 0) << "row " << r;
+      EXPECT_EQ(std::memcmp(slice.row(r), direct.row(r),
+                            kDim * sizeof(float)),
+                0)
+          << "row " << r;
+    }
+  };
+  expect_identical(ids_fut.get(), service.lookup_ids(ids));
+  expect_identical(words_fut.get(), service.lookup_words(words));
+}
+
+TEST_F(AsyncLookupTest, TracedGeneralLookupRecordsBatchSpans) {
+  LookupService service(store_);
+  AsyncLookupService async(service);
+  obs::Tracer::instance().clear();
+  const obs::TraceContext trace = obs::TraceContext::start();
+  ASSERT_EQ(async.lookup_ids({1, 2, 3}, trace).get().size(), 3u);
+
+  // The spans are recorded before the future is returned, on this thread.
+  const std::vector<obs::SpanRecord> spans =
+      obs::Tracer::instance().spans_for(trace.trace_id);
+  const auto find = [&](obs::TraceStage stage) -> const obs::SpanRecord* {
+    for (const obs::SpanRecord& s : spans) {
+      if (s.stage == stage) return &s;
+    }
+    return nullptr;
+  };
+  const obs::SpanRecord* queue = find(obs::TraceStage::kBatchQueue);
+  const obs::SpanRecord* exec = find(obs::TraceStage::kBatchExec);
+  const obs::SpanRecord* deq = find(obs::TraceStage::kDequantize);
+  ASSERT_NE(queue, nullptr);
+  ASSERT_NE(exec, nullptr);
+  ASSERT_NE(deq, nullptr);
+  EXPECT_LE(queue->end_ns, exec->start_ns);
+  // dequantize nests inside batch_exec.
+  EXPECT_GE(deq->start_ns, exec->start_ns);
+  EXPECT_LE(deq->end_ns, exec->end_ns);
 }
 
 TEST_F(AsyncLookupTest, UnconsumedSliceFuturesAreConsumedByTheirDtor) {
@@ -212,10 +278,13 @@ TEST(AsyncLookupErrors, LookupAgainstEmptyStoreRejectsTheFuture) {
   AsyncLookupService async(service);
   auto fut = async.lookup_id(0);
   EXPECT_THROW(fut.get(), std::exception);
-  // The dispatcher must survive a failed batch and keep serving: another
+  // The combiner must survive a failed batch and keep serving: another
   // request still completes (with the same error).
   auto fut2 = async.lookup_id(1);
   EXPECT_THROW(fut2.get(), std::exception);
+  // The general path reports the failure through its (ready) future.
+  auto general = async.lookup_ids({0, 1});
+  EXPECT_THROW(general.get(), std::exception);
 }
 
 TEST(AsyncLookupExec, InlineAndPoolExecutionAgree) {

@@ -146,7 +146,7 @@ class StressCase {
             ++issued[static_cast<std::size_t>(t)];
 
             // Injected slow consumer: occasionally sit on the whole
-            // window while other producers keep the ring and dispatcher
+            // window while other producers keep the ring and combiner
             // busy — slot reclamation must not depend on us consuming.
             if (rng.bernoulli(0.02)) {
               std::this_thread::sleep_for(std::chrono::microseconds(
@@ -159,8 +159,8 @@ class StressCase {
       }
       for (auto& p : producers) p.join();
       for (const auto n : issued) issued_total += n;
-      // async destructor: drains the general queue; every fast-path
-      // future was consumed above.
+      // async destructor: waits for pool-executed fast-path batches;
+      // every fast-path future was consumed above.
     }
     EXPECT_EQ(mismatches.load(), 0u);
     // Every single future resolved (none lost, none stuck).

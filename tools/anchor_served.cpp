@@ -150,9 +150,12 @@ int main(int argc, char** argv) {
   parser.add_option("heat-buckets",
                     "per-id-range heat-map bucket fanout", "256");
   parser.add_option("max-batch",
-                    "batcher: flush when this many keys are waiting", "64");
+                    "single-key batcher: flush when this many keys are "
+                    "waiting",
+                    "64");
   parser.add_option("max-wait-us",
-                    "batcher: flush when the oldest request is this old",
+                    "single-key batcher: flush when the oldest request is "
+                    "this old (multi-key and word requests never wait)",
                     "100");
   parser.add_option("eis-warn", "gate: EIS warn threshold", "0.05");
   parser.add_option("eis-reject", "gate: EIS reject threshold", "0.15");
