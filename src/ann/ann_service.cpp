@@ -1,8 +1,8 @@
 #include "ann/ann_service.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
+#include "core/measures.hpp"
 #include "util/check.hpp"
 
 namespace anchor::ann {
@@ -56,22 +56,20 @@ double AnnService::topk_churn(const serve::SnapshotPtr& a,
   queries = std::min(queries, a->vocab_size());
   const std::size_t stride = a->vocab_size() / queries;
   std::vector<float> q(a->dim());
+  std::vector<std::size_t> ids_a, ids_b;
+  const auto ids_of = [](const TopKResult& r, std::vector<std::size_t>* out) {
+    out->clear();
+    for (const TopKHit& h : r.hits) out->push_back(h.id);
+  };
   double churn_sum = 0.0;
   for (std::size_t i = 0; i < queries; ++i) {
     a->copy_row(i * stride, q.data());
-    const TopKResult ra = ia->search(q.data(), k);
-    const TopKResult rb = ib->search(q.data(), k);
-    std::unordered_set<std::uint64_t> in_a;
-    in_a.reserve(ra.hits.size());
-    for (const TopKHit& h : ra.hits) in_a.insert(h.id);
-    std::size_t overlap = 0;
-    for (const TopKHit& h : rb.hits) overlap += in_a.count(h.id);
-    // Normalize by the smaller achievable set so tiny stores (k > vocab)
-    // don't register phantom churn.
-    const std::size_t denom =
-        std::max<std::size_t>(1, std::min({k, ra.hits.size(), rb.hits.size(),
-                                           std::size_t{1} * a->vocab_size()}));
-    churn_sum += 1.0 - static_cast<double>(overlap) / static_cast<double>(denom);
+    ids_of(ia->search(q.data(), k), &ids_a);
+    ids_of(ib->search(q.data(), k), &ids_b);
+    // search returns at most min(k, vocab) hits, so topk_overlap's
+    // min(|A|, |B|) denominator keeps tiny stores (k > vocab) from
+    // registering phantom churn.
+    churn_sum += 1.0 - core::topk_overlap(ids_a, ids_b);
   }
   return churn_sum / static_cast<double>(queries);
 }

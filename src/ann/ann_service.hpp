@@ -3,8 +3,8 @@
 // promote (or canary/rollout step) that changes the live snapshot lazily
 // builds the matching index on first TOPK and the old one ages out. Also
 // home of the online gate measure: top-k churn of served TOPK results
-// between two index versions (the paper's kNN-overlap instability, §3.1,
-// applied to the serving path itself).
+// between two index versions — 1 − core::topk_overlap, the paper's k-NN
+// overlap (§2.4), applied to the serving path itself.
 #pragma once
 
 #include <atomic>
@@ -38,8 +38,9 @@ class AnnService {
 
   /// Mean top-k churn between the two snapshots' indexes: for `queries`
   /// deterministic probe queries (rows of `a`, evenly strided), the mean of
-  /// 1 − |topk_a ∩ topk_b| / k. 0 = identical served results, 1 = total
-  /// churn. Snapshots of different dimension score 1.0 outright.
+  /// 1 − core::topk_overlap(topk_a, topk_b) over the served hit ids.
+  /// 0 = identical served results, 1 = total churn. Snapshots of different
+  /// dimension score 1.0 outright.
   double topk_churn(const serve::SnapshotPtr& a, const serve::SnapshotPtr& b,
                     std::size_t queries, std::size_t k);
 

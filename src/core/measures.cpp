@@ -12,32 +12,55 @@
 
 namespace anchor::core {
 
-namespace {
-
-/// Indices of the k most cosine-similar rows to `query` (self excluded).
-/// `sims` is caller-provided scratch of size n (reused across queries).
-std::vector<std::size_t> top_k_neighbors(const la::Matrix& normalized,
-                                         std::size_t query, std::size_t k,
-                                         std::vector<double>& sims) {
-  const std::size_t n = normalized.rows();
-  la::kernels::matvec_rowmajor(normalized.data(), n, normalized.cols(),
-                               normalized.row(query), sims.data());
-  sims[query] = -2.0;  // exclude self
-
-  std::vector<std::size_t> idx(n);
-  std::iota(idx.begin(), idx.end(), 0u);
-  const std::size_t kk = std::min(k, n - 1);
-  std::partial_sort(idx.begin(), idx.begin() + static_cast<std::ptrdiff_t>(kk),
-                    idx.end(), [&](std::size_t a, std::size_t b) {
-                      // Deterministic tie-break on index keeps the measure
-                      // reproducible across platforms.
-                      return sims[a] != sims[b] ? sims[a] > sims[b] : a < b;
+void panel_topk(const la::Matrix& panel, const double* unit_query,
+                std::size_t k, std::size_t exclude,
+                std::vector<std::size_t>* out) {
+  const std::size_t n = panel.rows();
+  thread_local std::vector<double> scores;
+  thread_local std::vector<std::size_t> idx;
+  scores.resize(n);
+  la::kernels::matvec_rowmajor(panel.data(), n, panel.cols(), unit_query,
+                               scores.data());
+  idx.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i != exclude) idx.push_back(i);
+  }
+  const auto kk = static_cast<std::ptrdiff_t>(std::min(k, idx.size()));
+  std::partial_sort(idx.begin(), idx.begin() + kk, idx.end(),
+                    [&](std::size_t a, std::size_t b) {
+                      return scores[a] != scores[b] ? scores[a] > scores[b]
+                                                    : a < b;
                     });
-  idx.resize(kk);
-  return idx;
+  out->assign(idx.begin(), idx.begin() + kk);
 }
 
-}  // namespace
+double topk_overlap(const std::vector<std::size_t>& a,
+                    const std::vector<std::size_t>& b) {
+  std::size_t hits = 0;
+  for (const std::size_t id : b) {
+    hits += std::find(a.begin(), a.end(), id) != a.end() ? 1 : 0;
+  }
+  const std::size_t k = std::max<std::size_t>(1, std::min(a.size(), b.size()));
+  return static_cast<double>(hits) / static_cast<double>(k);
+}
+
+std::vector<std::size_t> sample_ids(std::size_t n, std::size_t m,
+                                    std::uint64_t seed) {
+  std::vector<std::size_t> ids;
+  if (m >= n) {
+    ids.resize(n);
+    std::iota(ids.begin(), ids.end(), 0u);
+    return ids;
+  }
+  ids.reserve(m);
+  Rng rng(seed);
+  std::unordered_set<std::size_t> seen;
+  while (ids.size() < m) {
+    const std::size_t id = rng.index(n);
+    if (seen.insert(id).second) ids.push_back(id);
+  }
+  return ids;
+}
 
 la::Matrix normalize_rows_l2(const la::Matrix& m) {
   la::Matrix out = m;
@@ -53,6 +76,7 @@ double knn_measure_normalized(const la::Matrix& nx, const la::Matrix& nxt,
                               std::uint64_t seed) {
   ANCHOR_CHECK_EQ(nx.rows(), nxt.rows());
   ANCHOR_CHECK_GT(k, 0u);
+  ANCHOR_CHECK_GT(num_queries, 0u);
   const std::size_t n = nx.rows();
   ANCHOR_CHECK_GE(n, 2u);
 
@@ -68,15 +92,11 @@ double knn_measure_normalized(const la::Matrix& nx, const la::Matrix& nxt,
   // independent of the pool size.
   std::vector<double> overlaps(queries.size(), 0.0);
   util::global_pool().parallel_for(0, queries.size(), [&](std::size_t qi) {
-    thread_local std::vector<double> sims;
-    if (sims.size() < n) sims.resize(n);
+    thread_local std::vector<std::size_t> a, b;
     const std::size_t q = queries[qi];
-    const auto a = top_k_neighbors(nx, q, k, sims);
-    const auto b = top_k_neighbors(nxt, q, k, sims);
-    const std::unordered_set<std::size_t> sa(a.begin(), a.end());
-    std::size_t hits = 0;
-    for (const std::size_t w : b) hits += sa.count(w);
-    overlaps[qi] = static_cast<double>(hits) / static_cast<double>(a.size());
+    panel_topk(nx, nx.row(q), k, q, &a);
+    panel_topk(nxt, nxt.row(q), k, q, &b);
+    overlaps[qi] = topk_overlap(a, b);
   });
   double overlap_sum = 0.0;
   for (const double o : overlaps) overlap_sum += o;

@@ -11,6 +11,13 @@
 // Every implementation avoids n×n intermediates: PIP loss uses the Gram
 // trick and the eigenspace instability measure uses the O(n·d²) expansion of
 // Appendix B.1.
+//
+// The k-NN measure's two halves are public so that every k-NN overlap in
+// the system is this one definition: panel_topk is the own-space top-k
+// selection and topk_overlap the |A∩B|/k score. The offline gate
+// (knn_measure_normalized), the canary's online agreement, the drift
+// probe and the ANN top-k churn gate all call them; sample_ids is the
+// seeded probe-row draw the canary and the drift probe share.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +44,9 @@ double knn_measure(const la::Matrix& x, const la::Matrix& x_tilde,
 /// once and reuse the copy.
 la::Matrix normalize_rows_l2(const la::Matrix& m);
 
-/// knn_measure on matrices already row-normalized via normalize_rows_l2.
+/// knn_measure on matrices already row-normalized via normalize_rows_l2:
+/// the mean topk_overlap of panel_topk(nx, q) and panel_topk(nxt, q), self
+/// excluded, over min(num_queries, n) sampled queries (num_queries > 0).
 /// Queries are scored in parallel over the shared util::global_pool();
 /// each query's overlap is computed independently and reduced in query
 /// order, so the result is bit-for-bit identical at any thread count.
@@ -45,6 +54,32 @@ double knn_measure_normalized(const la::Matrix& nx, const la::Matrix& nxt,
                               std::size_t k = 5,
                               std::size_t num_queries = 1000,
                               std::uint64_t seed = 42);
+
+/// panel_topk's `exclude` value that excludes no row.
+inline constexpr std::size_t kNoRow = static_cast<std::size_t>(-1);
+
+/// Own-space top-k selection of the k-NN measure: scores every row of the
+/// row-normalized `panel` against `unit_query` (dot = cosine), skips row
+/// `exclude` (kNoRow skips none), and writes the best min(k, candidates)
+/// row indices to `out`, ordered by (score desc, index asc) — the index
+/// tie-break keeps the selection reproducible across platforms. Scratch is
+/// thread_local, so concurrent callers on pool workers allocate nothing
+/// per list once warm.
+void panel_topk(const la::Matrix& panel, const double* unit_query,
+                std::size_t k, std::size_t exclude,
+                std::vector<std::size_t>* out);
+
+/// The paper's k-NN overlap of two neighbor lists of distinct ids:
+/// |A∩B| / max(1, min(|A|, |B|)), which is |A∩B| / k when both lists hold
+/// k neighbors. Empty lists score 0.
+double topk_overlap(const std::vector<std::size_t>& a,
+                    const std::vector<std::size_t>& b);
+
+/// min(m, n) distinct ids from [0, n): all of [0, n) in order when m ≥ n,
+/// otherwise a seeded draw (in draw order) that depends only on
+/// (n, m, seed) — the fixed probe-row panel of the canary and drift probe.
+std::vector<std::size_t> sample_ids(std::size_t n, std::size_t m,
+                                    std::uint64_t seed);
 
 /// Semantic displacement: mean cosine distance between rows of X and the
 /// Procrustes-rotated rows of X̃ (requires equal dimensions).

@@ -3,35 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <unordered_set>
 
+#include "core/measures.hpp"
 #include "la/kernels.hpp"
-#include "util/rng.hpp"
 
 namespace anchor::obs {
-
-namespace {
-
-/// Copies the probe rows of `snap` into an L2-normalized panel. Probe ids
-/// outside the snapshot's vocabulary (a shrunk candidate) stay zero rows
-/// flagged invalid; zero-norm in-vocabulary rows likewise.
-void build_panel(const serve::EmbeddingSnapshot& snap,
-                 const std::vector<std::size_t>& ids, la::Matrix* panel,
-                 std::vector<std::uint8_t>* valid) {
-  const std::size_t dim = snap.dim();
-  *panel = la::Matrix(ids.size(), dim);
-  valid->assign(ids.size(), 0);
-  std::vector<float> buf(dim);
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    if (ids[i] >= snap.vocab_size()) continue;
-    snap.copy_rows(&ids[i], 1, buf.data());
-    double* dst = panel->row(i);
-    for (std::size_t j = 0; j < dim; ++j) dst[j] = buf[j];
-    (*valid)[i] = la::kernels::l2_normalize(dst, dim) != 0.0 ? 1 : 0;
-  }
-}
-
-}  // namespace
 
 DriftProbe::DriftProbe(const serve::EmbeddingStore& store,
                        DriftProbeConfig config)
@@ -41,58 +17,22 @@ DriftProbe::DriftProbe(const serve::EmbeddingStore& store,
   if (!reference_) return;  // empty store: probe stays inert
   reference_version_ = reference_->version();
 
-  const std::size_t vocab = reference_->vocab_size();
-  std::size_t m = std::min(config_.probe_rows, vocab);
-  if (m == 0) m = 1;
-  probe_ids_.reserve(m);
-  if (m == vocab) {
-    for (std::size_t i = 0; i < m; ++i) probe_ids_.push_back(i);
-  } else {
-    // Same fixed-sample discipline as the canary probe panel: one seeded
-    // draw at pin time, stable for the probe's lifetime.
-    Rng rng(config_.seed ^ 0x6472696674703935ull);
-    std::unordered_set<std::size_t> seen;
-    while (probe_ids_.size() < m) {
-      const std::size_t id = rng.index(vocab);
-      if (seen.insert(id).second) probe_ids_.push_back(id);
-    }
-  }
-
-  build_panel(*reference_, probe_ids_, &reference_panel_, &reference_valid_);
-  reference_topk_.resize(m);
-  for (std::size_t p = 0; p < m; ++p) {
-    if (reference_valid_[p]) {
-      panel_topk(reference_panel_, p, &reference_topk_[p]);
+  // Same fixed-sample discipline as the canary probe panel: one seeded
+  // draw at pin time, stable for the probe's lifetime.
+  probe_ids_ = core::sample_ids(reference_->vocab_size(),
+                                std::max<std::size_t>(1, config_.probe_rows),
+                                config_.seed ^ 0x6472696674703935ull);
+  reference_panel_ = serve::probe_panel(*reference_, probe_ids_);
+  reference_topk_.resize(probe_ids_.size());
+  for (std::size_t p = 0; p < probe_ids_.size(); ++p) {
+    if (reference_panel_.valid[p]) {
+      core::panel_topk(reference_panel_.rows, reference_panel_.rows.row(p),
+                       config_.knn_k, p, &reference_topk_[p]);
     }
   }
 }
 
 DriftProbe::~DriftProbe() { stop(); }
-
-bool DriftProbe::panel_topk(const la::Matrix& panel, std::size_t self,
-                            std::vector<int>* out) const {
-  const std::size_t m = panel.rows();
-  const std::size_t dim = panel.cols();
-  thread_local std::vector<double> scores;
-  thread_local std::vector<int> idx;
-  scores.resize(m);
-  la::kernels::matvec_rowmajor(panel.data(), m, dim, panel.row(self),
-                               scores.data());
-  idx.clear();
-  idx.reserve(m);
-  for (std::size_t p = 0; p < m; ++p) {
-    if (p != self) idx.push_back(static_cast<int>(p));
-  }
-  const std::size_t k = std::min(config_.knn_k, idx.size());
-  if (k == 0) return false;
-  std::partial_sort(idx.begin(), idx.begin() + static_cast<long>(k),
-                    idx.end(), [&](int a, int b) {
-                      if (scores[a] != scores[b]) return scores[a] > scores[b];
-                      return a < b;  // deterministic tie-break
-                    });
-  out->assign(idx.begin(), idx.begin() + static_cast<long>(k));
-  return true;
-}
 
 DriftSample DriftProbe::run_once() {
   std::lock_guard<std::mutex> lock(mu_);
@@ -112,44 +52,40 @@ DriftSample DriftProbe::run_once() {
     sample.displacement_mean = 2.0;
     sample.displacement_p95 = 2.0;
   } else {
-    la::Matrix live_panel;
-    std::vector<std::uint8_t> live_valid;
-    build_panel(*live, probe_ids_, &live_panel, &live_valid);
+    const serve::ProbePanel live_panel = serve::probe_panel(*live, probe_ids_);
 
     const std::size_t dim = reference_->dim();
     double agreement_sum = 0.0;
     std::uint64_t agreement_n = 0;
     std::vector<double> displacements;
     displacements.reserve(probe_ids_.size());
-    std::vector<int> live_topk;
+    std::vector<std::size_t> live_topk;
     for (std::size_t p = 0; p < probe_ids_.size(); ++p) {
-      if (!reference_valid_[p] || !live_valid[p]) continue;
+      if (!reference_panel_.valid[p] || !live_panel.valid[p]) continue;
       // Own-space top-k overlap: each side's neighbors computed within
       // its own panel geometry, so pure rotations agree perfectly.
-      if (panel_topk(live_panel, p, &live_topk) &&
-          !reference_topk_[p].empty()) {
-        std::size_t overlap = 0;
-        for (const int r : reference_topk_[p]) {
-          if (std::find(live_topk.begin(), live_topk.end(), r) !=
-              live_topk.end()) {
-            ++overlap;
-          }
-        }
-        const std::size_t k =
-            std::max(reference_topk_[p].size(), live_topk.size());
-        agreement_sum +=
-            static_cast<double>(overlap) / static_cast<double>(k);
+      core::panel_topk(live_panel.rows, live_panel.rows.row(p), config_.knn_k,
+                       p, &live_topk);
+      if (!live_topk.empty() && !reference_topk_[p].empty()) {
+        agreement_sum += core::topk_overlap(reference_topk_[p], live_topk);
         ++agreement_n;
       }
       // Rows are unit-norm, so the dot IS the cosine.
-      const double cos = la::kernels::dot(reference_panel_.row(p),
-                                          live_panel.row(p), dim);
+      const double cos = la::kernels::dot(reference_panel_.rows.row(p),
+                                          live_panel.rows.row(p), dim);
       displacements.push_back(std::clamp(1.0 - cos, 0.0, 2.0));
     }
     sample.probes = displacements.size();
-    sample.topk_agreement =
-        agreement_n != 0 ? agreement_sum / static_cast<double>(agreement_n)
-                         : 0.0;
+    // Rows compared but none with neighbors (a one-row panel) is no
+    // evidence of drift: keep the default 1.0, as displacement keeps 0.
+    // No row comparable at all (every probe row out of the live
+    // vocabulary or zero-norm: a shrunk or corrupted reload) is maximal
+    // drift.
+    if (agreement_n != 0) {
+      sample.topk_agreement = agreement_sum / static_cast<double>(agreement_n);
+    } else if (sample.probes == 0) {
+      sample.topk_agreement = 0.0;
+    }
     if (!displacements.empty()) {
       double sum = 0.0;
       for (const double d : displacements) sum += d;

@@ -11,9 +11,12 @@
 // `--drift-interval` (or on demand), scores the CURRENT live snapshot
 // against it:
 //
-//   • topk_agreement — mean |reference top-k ∩ live top-k| / k, each side
-//     computed within its own panel's geometry, so pure rotations score
-//     1.0 (rotation-invariant, same measure the canary uses online).
+//   • topk_agreement — mean core::topk_overlap of the reference and live
+//     core::panel_topk lists (the paper's k-NN overlap, the same measure
+//     the canary uses online), each side within its own panel's geometry,
+//     so pure rotations score 1.0. 1.0 when rows were compared but none
+//     has a neighbor (a one-row store); 0.0 when no probe row is
+//     comparable (all out of the live vocabulary or zero-norm).
 //   • displacement — 1 − cos(reference row, live row) per probe,
 //     clamped to [0, 2]; the p95 and mean are exported.
 //
@@ -34,7 +37,6 @@
 #include <thread>
 #include <vector>
 
-#include "la/matrix.hpp"
 #include "obs/metrics.hpp"
 #include "serve/embedding_store.hpp"
 
@@ -83,10 +85,6 @@ class DriftProbe {
   const DriftProbeConfig& config() const { return config_; }
 
  private:
-  /// Own-space top-k of panel row `self` within `panel` (self excluded),
-  /// deterministic tie-break. False when the row has zero norm.
-  bool panel_topk(const la::Matrix& panel, std::size_t self,
-                  std::vector<int>* out) const;
   void loop();
 
   const serve::EmbeddingStore& store_;
@@ -95,9 +93,8 @@ class DriftProbe {
   serve::SnapshotPtr reference_;
   std::string reference_version_;
   std::vector<std::size_t> probe_ids_;
-  la::Matrix reference_panel_;               // normalized probe rows
-  std::vector<std::uint8_t> reference_valid_;  // nonzero-norm probe rows
-  std::vector<std::vector<int>> reference_topk_;
+  serve::ProbePanel reference_panel_;
+  std::vector<std::vector<std::size_t>> reference_topk_;
 
   Gauge* agreement_gauge_ = nullptr;
   Gauge* displacement_p95_gauge_ = nullptr;

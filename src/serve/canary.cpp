@@ -6,18 +6,15 @@
 #include <cstring>
 #include <sstream>
 #include <thread>
-#include <unordered_set>
 
+#include "core/measures.hpp"
 #include "la/kernels.hpp"
 #include "util/check.hpp"
 #include "util/io.hpp"
-#include "util/rng.hpp"
 
 namespace anchor::serve {
 
 namespace {
-
-constexpr std::size_t kNoProbe = static_cast<std::size_t>(-1);
 
 /// splitmix64 finalizer — the routing hash. Cheap, well-mixed, and easy
 /// to restate in any other implementation of the wire protocol, which is
@@ -257,38 +254,14 @@ CanaryRouter::CanaryRouter(EmbeddingStore& store,
   // so per-shadow scoring is two matvecs + two top-k selections.
   const std::size_t shared =
       std::min(incumbent_->vocab_size(), candidate_->vocab_size());
-  std::size_t m = std::min(config_.probe_rows, shared);
-  if (m == 0) m = 1;
-  probe_ids_.reserve(m);
-  if (m == shared) {
-    for (std::size_t i = 0; i < m; ++i) probe_ids_.push_back(i);
-  } else {
-    Rng rng(config_.seed ^ 0x70726f6265733231ull);
-    std::unordered_set<std::size_t> seen;
-    while (probe_ids_.size() < m) {
-      const std::size_t id = rng.index(shared);
-      if (seen.insert(id).second) probe_ids_.push_back(id);
-    }
-  }
+  probe_ids_ = core::sample_ids(shared,
+                                std::max<std::size_t>(1, config_.probe_rows),
+                                config_.seed ^ 0x70726f6265733231ull);
   for (std::size_t p = 0; p < probe_ids_.size(); ++p) {
     probe_index_.emplace(probe_ids_[p], p);
   }
-
-  const std::size_t dim = incumbent_->dim();
-  std::vector<float> buf(m * dim);
-  const auto build_panel = [&](const EmbeddingSnapshot& snap,
-                               la::Matrix* panel) {
-    snap.copy_rows(probe_ids_.data(), m, buf.data());
-    *panel = la::Matrix(m, dim);
-    for (std::size_t r = 0; r < m; ++r) {
-      double* dst = panel->row(r);
-      const float* src = buf.data() + r * dim;
-      for (std::size_t j = 0; j < dim; ++j) dst[j] = src[j];
-      la::kernels::l2_normalize(dst, dim);
-    }
-  };
-  build_panel(*incumbent_, &probes_incumbent_);
-  build_panel(*candidate_, &probes_candidate_);
+  probes_incumbent_ = probe_panel(*incumbent_, probe_ids_).rows;
+  probes_candidate_ = probe_panel(*candidate_, probe_ids_).rows;
 }
 
 CanaryRouter::~CanaryRouter() = default;
@@ -498,71 +471,41 @@ void CanaryRouter::lookup_words_into(const std::vector<std::string>& words,
   route_into(words, out);
 }
 
-bool CanaryRouter::probe_topk(const la::Matrix& probes, const float* vec,
-                              std::size_t self_probe,
-                              std::vector<int>* out) const {
-  const std::size_t dim = incumbent_->dim();
-  const std::size_t m = probes.rows();
-  thread_local std::vector<double> q, scores;
-  q.resize(dim);
-  for (std::size_t j = 0; j < dim; ++j) q[j] = vec[j];
-  if (la::kernels::l2_normalize(q.data(), dim) == 0.0) return false;
-  scores.resize(m);
-  la::kernels::matvec_rowmajor(probes.data(), m, dim, q.data(),
-                               scores.data());
-
-  thread_local std::vector<int> idx;
-  idx.clear();
-  idx.reserve(m);
-  for (std::size_t p = 0; p < m; ++p) {
-    if (p != self_probe) idx.push_back(static_cast<int>(p));
-  }
-  const std::size_t k = std::min(config_.knn_k, idx.size());
-  if (k == 0) return false;
-  std::partial_sort(idx.begin(), idx.begin() + static_cast<long>(k),
-                    idx.end(), [&](int a, int b) {
-                      if (scores[a] != scores[b]) return scores[a] > scores[b];
-                      return a < b;  // deterministic tie-break
-                    });
-  out->assign(idx.begin(), idx.begin() + static_cast<long>(k));
-  return true;
-}
-
 void CanaryRouter::score_shadows(
     const std::vector<std::size_t>& shadow_keys,
     const std::vector<std::uint32_t>& shadow_cand_rows,
     const ResultSlice& cand_slice, const ResultSlice& mirror_slice,
     double latency_delta_us) {
   const std::size_t dim = incumbent_->dim();
-  thread_local std::vector<int> top_cand, top_inc;
+  thread_local std::vector<double> unit;
+  thread_local std::vector<std::size_t> top_cand, top_inc;
+  // Each version's neighbors live in its OWN space (within-space
+  // structure, like the paper's k-NN measure), so agreement is invariant
+  // to any global rotation — alignment cannot fake it. A zero vector is
+  // skipped below by its zero displacement denominator.
+  const auto own_space_topk = [&](const la::Matrix& probes, const float* vec,
+                                  std::size_t self_probe,
+                                  std::vector<std::size_t>* out) {
+    unit.assign(vec, vec + dim);
+    la::kernels::l2_normalize(unit.data(), dim);
+    core::panel_topk(probes, unit.data(), config_.knn_k, self_probe, out);
+  };
   for (std::size_t j = 0; j < mirror_slice.size(); ++j) {
     const std::uint32_t cr = shadow_cand_rows[j];
     if (cand_slice.oov(cr) || mirror_slice.oov(j)) continue;
     const float* vc = cand_slice.row(cr);
     const float* vi = mirror_slice.row(j);
 
-    std::size_t self_probe = kNoProbe;
+    std::size_t self_probe = core::kNoRow;
     if (j < shadow_keys.size()) {
       const auto it = probe_index_.find(shadow_keys[j]);
       if (it != probe_index_.end()) self_probe = it->second;
     }
-    // Each version's neighbors live in its OWN space (within-space
-    // structure, like the paper's k-NN measure), so agreement is
-    // invariant to any global rotation — alignment cannot fake it.
-    if (!probe_topk(probes_candidate_, vc, self_probe, &top_cand)) continue;
-    if (!probe_topk(probes_incumbent_, vi, self_probe, &top_inc)) continue;
-    std::size_t overlap = 0;
-    for (const int p : top_cand) {
-      for (const int q : top_inc) {
-        if (p == q) {
-          ++overlap;
-          break;
-        }
-      }
-    }
-    const double k =
-        static_cast<double>(std::min(top_cand.size(), top_inc.size()));
-    const double agreement = k > 0 ? static_cast<double>(overlap) / k : 0.0;
+    own_space_topk(probes_candidate_, vc, self_probe, &top_cand);
+    own_space_topk(probes_incumbent_, vi, self_probe, &top_inc);
+    // A one-row panel holding only the key itself leaves no neighbors.
+    if (top_cand.empty() || top_inc.empty()) continue;
+    const double agreement = core::topk_overlap(top_cand, top_inc);
 
     double dot = 0.0, nc = 0.0, ni = 0.0;
     for (std::size_t d = 0; d < dim; ++d) {

@@ -10,10 +10,11 @@
 // *shadowed* — mirrored to the incumbent — so every shadowed key yields a
 // (candidate, incumbent) vector pair from real traffic, from which the
 // router measures
-//   • online top-k agreement: the key's k nearest neighbors within a
-//     fixed probe-row panel, computed in each version's own space and
-//     compared (the online analogue of the paper's k-NN overlap measure;
-//     rotation-invariant, so Procrustes alignment does not mask churn),
+//   • online top-k agreement: the paper's k-NN overlap, computed by
+//     core::panel_topk + core::topk_overlap for the key against a fixed
+//     probe-row panel (core::sample_ids, serve::probe_panel) in each
+//     version's own space — rotation-invariant, so Procrustes alignment
+//     does not mask churn,
 //   • per-key displacement: 1 − cos between the two versions' vectors
 //     for the same key (coordinate-level drift; near zero only when
 //     ingestion aligned the candidate to the incumbent — see
@@ -292,11 +293,6 @@ class CanaryRouter {
                      const ResultSlice& cand_slice,
                      const ResultSlice& mirror_slice,
                      double latency_delta_us);
-  /// Top-`knn_k` probe indices of a normalized copy of `vec` against the
-  /// given probe panel, excluding `self_probe` (kNoProbe = keep all).
-  /// False when the vector is zero (no sample can be scored).
-  bool probe_topk(const la::Matrix& probes, const float* vec,
-                  std::size_t self_probe, std::vector<int>* out) const;
   void maybe_decide();
   void decide(CanaryState terminal, const std::string& reason);
 
@@ -316,7 +312,8 @@ class CanaryRouter {
   AsyncLookupService candidate_async_;
 
   /// Probe panel: row ids sampled once at start plus each version's
-  /// L2-normalized probe rows (probe_rows × dim, that version's space).
+  /// L2-normalized probe rows (probe_rows × dim, that version's space);
+  /// probe_index_ maps a row id to its panel row for self-exclusion.
   std::vector<std::size_t> probe_ids_;
   std::unordered_map<std::size_t, std::size_t> probe_index_;
   la::Matrix probes_incumbent_;

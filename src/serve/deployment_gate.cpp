@@ -50,6 +50,10 @@ DeploymentGate::DeploymentGate(GateConfig config)
     : config_(std::move(config)) {
   ANCHOR_CHECK_LE(config_.eis_warn, config_.eis_reject);
   ANCHOR_CHECK_LE(config_.knn_warn, config_.knn_reject);
+  // A k-NN measure over no queries or no neighbors is NaN, which no
+  // threshold rejects: it would silently admit every candidate.
+  ANCHOR_CHECK_GT(config_.knn_k, 0u);
+  ANCHOR_CHECK_GT(config_.knn_queries, 0u);
 }
 
 GateReport DeploymentGate::evaluate(const EmbeddingSnapshot& incumbent,

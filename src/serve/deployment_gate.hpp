@@ -36,8 +36,8 @@ struct GateConfig {
   double knn_warn = 0.30;
   double knn_reject = 0.60;
   double alpha = 3.0;                // eigenvalue-importance exponent (Tab. 8)
-  std::size_t knn_k = 5;             // neighbors per query
-  std::size_t knn_queries = 256;     // sampled query words
+  std::size_t knn_k = 5;             // neighbors per query (> 0)
+  std::size_t knn_queries = 256;     // sampled query words (> 0)
   std::uint64_t knn_seed = 42;
   /// Vocabulary subsample for the measure computation (0 = full shared
   /// vocab). Measures are O(n·d²); a few thousand rows track the full-vocab

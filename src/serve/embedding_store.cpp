@@ -323,6 +323,28 @@ la::Matrix EmbeddingSnapshot::to_matrix(std::size_t max_rows) const {
   return m;
 }
 
+ProbePanel probe_panel(const EmbeddingSnapshot& snap,
+                       const std::vector<std::size_t>& ids) {
+  const std::size_t dim = snap.dim();
+  std::vector<std::size_t> slots, rows;  // panel slot ← in-vocabulary id
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (ids[i] >= snap.vocab_size()) continue;
+    slots.push_back(i);
+    rows.push_back(ids[i]);
+  }
+  std::vector<float> buf(rows.size() * dim);
+  snap.copy_rows(rows.data(), rows.size(), buf.data());
+  ProbePanel panel{la::Matrix(ids.size(), dim),
+                   std::vector<std::uint8_t>(ids.size(), 0)};
+  for (std::size_t r = 0; r < slots.size(); ++r) {
+    double* dst = panel.rows.row(slots[r]);
+    const float* src = buf.data() + r * dim;
+    for (std::size_t j = 0; j < dim; ++j) dst[j] = src[j];
+    panel.valid[slots[r]] = la::kernels::l2_normalize(dst, dim) != 0.0;
+  }
+  return panel;
+}
+
 namespace {
 
 /// B·Ω with Ω fit on the shared-vocabulary prefix of live vs source —

@@ -173,6 +173,18 @@ class EmbeddingSnapshot {
 
 using SnapshotPtr = std::shared_ptr<const EmbeddingSnapshot>;
 
+/// Rows `ids` of one snapshot as an L2-normalized double panel: the form
+/// core::panel_topk scores against, in that snapshot's own space (the
+/// canary's and the drift probe's probe panels). Ids outside the
+/// vocabulary stay zero rows; valid[i] is 1 only for an in-vocabulary row
+/// of nonzero norm.
+struct ProbePanel {
+  la::Matrix rows;
+  std::vector<std::uint8_t> valid;
+};
+ProbePanel probe_panel(const EmbeddingSnapshot& snap,
+                       const std::vector<std::size_t>& ids);
+
 /// Thread-safe registry of embedding versions with one designated "live"
 /// snapshot. Promotion is expected to go through the DeploymentGate.
 class EmbeddingStore {

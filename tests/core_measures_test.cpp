@@ -7,10 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numeric>
 
 #include "core/instability.hpp"
 #include "core/measures.hpp"
 #include "core/theory.hpp"
+#include "knn_reference.hpp"
 #include "la/procrustes.hpp"
 #include "la/svd.hpp"
 #include "util/rng.hpp"
@@ -76,6 +78,104 @@ TEST(Knn, DeterministicGivenSeed) {
   const la::Matrix x = random_matrix(80, 6, 10);
   const la::Matrix y = perturbed(x, 0.2, 11);
   EXPECT_DOUBLE_EQ(knn_measure(x, y, 5, 40, 7), knn_measure(x, y, 5, 40, 7));
+}
+
+knn_reference::Rows rows_of(const la::Matrix& m) {
+  knn_reference::Rows rows(m.rows());
+  for (std::size_t i = 0; i < m.rows(); ++i) {
+    rows[i].assign(m.row(i), m.row(i) + m.cols());
+  }
+  return rows;
+}
+
+TEST(Knn, MatchesBruteForceDefinition) {
+  // Rows 3 and 7 duplicate row 1 in x, only row 3 does in y: an exact
+  // cosine tie that the (score desc, index asc) tie-break must resolve to
+  // row 3 in x for query 1 at k = 1 to agree with y.
+  la::Matrix x = random_matrix(90, 6, 12);
+  la::Matrix y = perturbed(x, 0.3, 13);
+  for (const std::size_t dup : {3, 7}) {
+    std::copy(x.row(1), x.row(1) + x.cols(), x.row(dup));
+  }
+  std::copy(y.row(1), y.row(1) + y.cols(), y.row(3));
+  const la::Matrix nx = normalize_rows_l2(x);
+  const la::Matrix ny = normalize_rows_l2(y);
+  const auto rx = rows_of(nx);
+  const auto ry = rows_of(ny);
+  for (const std::size_t k : {1, 5, 12}) {
+    for (const std::size_t num_queries : {1, 40, 90, 500}) {
+      // knn_measure_normalized's own query draw and summation order.
+      std::vector<std::size_t> queries(x.rows());
+      std::iota(queries.begin(), queries.end(), 0u);
+      Rng rng(21);
+      rng.shuffle(queries);
+      queries.resize(std::min(num_queries, queries.size()));
+      double sum = 0.0;
+      for (const std::size_t q : queries) {
+        sum += knn_reference::overlap(
+            knn_reference::topk(rx, rx[q], k, q),
+            knn_reference::topk(ry, ry[q], k, q));
+      }
+      EXPECT_EQ(knn_measure_normalized(nx, ny, k, num_queries, 21),
+                sum / static_cast<double>(queries.size()))
+          << "k=" << k << " queries=" << num_queries;
+    }
+  }
+}
+
+TEST(Knn, ZeroQueriesIsRejectedNotNaN) {
+  const la::Matrix x = random_matrix(20, 4, 14);
+  EXPECT_THROW(knn_measure(x, perturbed(x, 0.3, 15), 5, 0, 42), CheckError);
+  EXPECT_THROW(knn_measure(x, x, 0, 10, 42), CheckError);
+}
+
+TEST(PanelTopk, ExcludesOneRowAndCapsAtTheCandidates) {
+  const la::Matrix panel = normalize_rows_l2(random_matrix(6, 3, 16));
+  const auto rows = rows_of(panel);
+  std::vector<std::size_t> out;
+  panel_topk(panel, panel.row(2), 3, 2, &out);
+  EXPECT_EQ(out, knn_reference::topk(rows, rows[2], 3, 2));
+  panel_topk(panel, panel.row(2), 3, kNoRow, &out);
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(out[0], 2u);  // the row itself is its own best match
+  EXPECT_EQ(out, knn_reference::topk(rows, rows[2], 3, rows.size()));
+  panel_topk(panel, panel.row(0), 50, 0, &out);
+  EXPECT_EQ(out.size(), 5u);
+  // Exact ties order by index: rows 1 and 3 both equal row 0.
+  la::Matrix tied = random_matrix(4, 3, 18);
+  for (const std::size_t dup : {3, 1}) {
+    std::copy(tied.row(0), tied.row(0) + 3, tied.row(dup));
+  }
+  panel_topk(normalize_rows_l2(tied), normalize_rows_l2(tied).row(0), 1, 0,
+             &out);
+  EXPECT_EQ(out, std::vector<std::size_t>{1});
+  const la::Matrix one = normalize_rows_l2(random_matrix(1, 3, 17));
+  panel_topk(one, one.row(0), 5, 0, &out);
+  EXPECT_TRUE(out.empty());
+}
+
+TEST(TopkOverlap, DividesByTheShorterListAndScoresEmptyAsZero) {
+  EXPECT_DOUBLE_EQ(topk_overlap({1, 2, 3, 4}, {4, 9, 1, 2}), 0.75);
+  EXPECT_DOUBLE_EQ(topk_overlap({1, 2, 3}, {3, 8}), 0.5);
+  EXPECT_DOUBLE_EQ(topk_overlap({3, 8}, {1, 2, 3}), 0.5);
+  EXPECT_DOUBLE_EQ(topk_overlap({5}, {5, 6, 7}), 1.0);
+  EXPECT_EQ(topk_overlap({}, {1, 2}), 0.0);
+  EXPECT_EQ(topk_overlap({1, 2}, {}), 0.0);
+  EXPECT_EQ(topk_overlap({}, {}), 0.0);
+}
+
+TEST(SampleIds, AllIdsInOrderOrASeededDistinctDraw) {
+  EXPECT_EQ(sample_ids(4, 4, 1), (std::vector<std::size_t>{0, 1, 2, 3}));
+  EXPECT_EQ(sample_ids(4, 9, 1), (std::vector<std::size_t>{0, 1, 2, 3}));
+  EXPECT_TRUE(sample_ids(0, 3, 1).empty());
+  const auto a = sample_ids(100, 10, 7);
+  EXPECT_EQ(a, sample_ids(100, 10, 7));
+  EXPECT_NE(a, sample_ids(100, 10, 8));
+  ASSERT_EQ(a.size(), 10u);
+  std::vector<std::size_t> sorted = a;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(std::unique(sorted.begin(), sorted.end()), sorted.end());
+  EXPECT_LT(sorted.back(), 100u);
 }
 
 // ---------- semantic displacement ----------

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "embed/embedding.hpp"
+#include "knn_reference.hpp"
 #include "obs/drift_probe.hpp"
 #include "obs/heavy_hitters.hpp"
 #include "obs/metrics.hpp"
@@ -506,6 +507,84 @@ TEST(Drift, PureRotationScoresAsNoDrift) {
   EXPECT_FALSE(s.same_snapshot);
   EXPECT_EQ(s.topk_agreement, 1.0);
   EXPECT_GT(s.displacement_p95, 0.5);  // 90°: 1 − cos = 1
+}
+
+TEST(Drift, AgreementMatchesBruteForceDefinition) {
+  // probe_rows >= vocab: the panel is every row in id order, so the
+  // reference needs no knowledge of the probe draw.
+  const std::size_t vocab = 40, dim = 6, k = 4;
+  const embed::Embedding base = random_embedding(vocab, dim, 21);
+  embed::Embedding moved = base;
+  Rng rng(22);
+  for (auto& x : moved.data) x += static_cast<float>(rng.normal(0.0, 0.4));
+  serve::EmbeddingStore store;
+  store.add_version("v1", base);
+  DriftProbeConfig cfg;
+  cfg.probe_rows = 64;
+  cfg.knn_k = k;
+  DriftProbe probe(store, cfg);
+  store.add_version("v2", moved);
+  store.set_live("v2");
+  const DriftSample s = probe.run_once();
+
+  const auto rows_of = [&](const embed::Embedding& e) {
+    knn_reference::Rows rows(vocab);
+    for (std::size_t w = 0; w < vocab; ++w) {
+      rows[w].assign(e.row(w), e.row(w) + dim);
+    }
+    return rows;
+  };
+  const auto ref = rows_of(base);
+  const auto live = rows_of(moved);
+  double sum = 0.0;
+  for (std::size_t p = 0; p < vocab; ++p) {  // the probe's summation order
+    sum += knn_reference::overlap(knn_reference::topk(ref, ref[p], k, p),
+                                  knn_reference::topk(live, live[p], k, p));
+  }
+  EXPECT_EQ(s.probes, vocab);
+  EXPECT_DOUBLE_EQ(s.topk_agreement, sum / static_cast<double>(vocab));
+  EXPECT_LT(s.topk_agreement, 1.0);
+}
+
+TEST(Drift, OneRowStoreReportsNoDrift) {
+  // One row has no neighbors, so no pair is scored for agreement: that is
+  // no evidence of drift, not maximal drift.
+  serve::EmbeddingStore store;
+  store.add_version("v1", random_embedding(1, 8, 23));
+  DriftProbe probe(store, DriftProbeConfig{});
+  const DriftSample s = probe.run_once();
+  EXPECT_TRUE(s.same_snapshot);
+  EXPECT_EQ(s.probes, 1u);
+  EXPECT_EQ(s.topk_agreement, 1.0);
+  EXPECT_NEAR(s.displacement_p95, 0.0, 1e-9);
+}
+
+TEST(Drift, NoComparableProbeRowReportsMaximalDrift) {
+  // A reload whose probe rows are all zero-norm, or all out of the live
+  // vocabulary, leaves nothing to compare: that is the corrupted or shrunk
+  // reload the gauge exists to catch, so agreement must read 0, not 1.
+  const std::size_t vocab = 64;
+  serve::EmbeddingStore store;
+  store.add_version("v1", random_embedding(vocab, 8, 29));
+  DriftProbeConfig cfg;
+  cfg.probe_rows = vocab;  // every row is a probe row
+  cfg.knn_k = 4;
+  DriftProbe probe(store, cfg);
+  ASSERT_EQ(probe.run_once().topk_agreement, 1.0);
+
+  store.add_version("zeroed", embed::Embedding(vocab, 8));
+  store.set_live("zeroed");
+  const DriftSample zeroed = probe.run_once();
+  EXPECT_EQ(zeroed.probes, 0u);
+  EXPECT_EQ(zeroed.topk_agreement, 0.0);
+
+  // Shrunk to one zero row: rows 1.. are out of vocabulary, row 0 is
+  // zero-norm.
+  store.add_version("shrunk", embed::Embedding(1, 8));
+  store.set_live("shrunk");
+  const DriftSample shrunk = probe.run_once();
+  EXPECT_EQ(shrunk.probes, 0u);
+  EXPECT_EQ(shrunk.topk_agreement, 0.0);
 }
 
 TEST(Drift, EmptyStoreIsInert) {

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "knn_reference.hpp"
 #include "la/svd.hpp"
 #include "serve/serve.hpp"
 #include "util/rng.hpp"
@@ -176,6 +177,60 @@ TEST(CanaryStats, MeansCountersAndHoeffdingBounds) {
 }
 
 // ---- two-phase state machine ------------------------------------------
+
+TEST(Canary, OnlineAgreementMatchesBruteForceDefinition) {
+  // Every key routes and shadows, and probe_rows >= vocab makes the probe
+  // panel every row in id order, so each shadowed key's agreement is the
+  // paper's k-NN overlap of that row in the two versions, self excluded.
+  const std::size_t vocab = 60, dim = 8, k = 4;
+  EmbeddingStore store;
+  const auto base = random_embedding(vocab, dim, 31);
+  const auto moved = perturbed(base, 0.3, 32);
+  store.add_version("v1", base);
+  store.add_version("v2", moved);
+  LookupService service(store);
+  AsyncLookupService async(service);
+  CanaryConfig config;
+  config.fraction = 1.0;
+  config.shadow_rate = 1.0;
+  config.knn_k = k;
+  config.probe_rows = 64;
+  config.min_shadows = config.max_shadows = 100000;  // never decide
+  DeploymentGate gate(permissive_gate());
+  const auto router = gate.try_promote(store, "v2", async, config);
+  ASSERT_NE(router, nullptr);
+  std::vector<std::size_t> keys(vocab);
+  for (std::size_t i = 0; i < vocab; ++i) keys[i] = i;
+  LookupResult result;
+  router->lookup_ids_into(keys, &result);
+
+  const auto rows_of = [&](const embed::Embedding& e) {
+    knn_reference::Rows rows(vocab);
+    for (std::size_t w = 0; w < vocab; ++w) {
+      rows[w].assign(e.row(w), e.row(w) + dim);
+    }
+    return rows;
+  };
+  const auto inc = rows_of(base);
+  const auto cand = rows_of(moved);
+  double sum = 0.0;
+  std::uint64_t scored = 0;
+  for (const std::size_t key : keys) {
+    if (!router->routes_to_candidate(key) || !router->shadows_key(key)) {
+      continue;
+    }
+    sum += knn_reference::overlap(knn_reference::topk(cand, cand[key], k, key),
+                                  knn_reference::topk(inc, inc[key], k, key));
+    ++scored;
+  }
+  const CanaryStatsSnapshot s = router->stats();
+  ASSERT_GT(scored, 0u);
+  EXPECT_EQ(s.shadows, scored);
+  // The running mean is summed in micro fixed point.
+  EXPECT_NEAR(s.mean_agreement, sum / static_cast<double>(scored), 1e-6);
+  EXPECT_LT(s.mean_agreement, 1.0);
+  router->abort();
+}
 
 TEST(Canary, GoodCandidateAutoPromotesOnOnlineAgreement) {
   TempAudit audit;

@@ -978,6 +978,17 @@ TEST(Gate, ReregisteredLiveVersionNameIsStillGated) {
   EXPECT_EQ(store.live()->epoch(), 1u);
 }
 
+TEST(Gate, ZeroKnnQueriesOrNeighborsIsRejectedAtConstruction) {
+  // 1 − NaN passes no threshold, so a zero here would silently admit
+  // every candidate on the k-NN half of the gate.
+  GateConfig no_queries;
+  no_queries.knn_queries = 0;
+  EXPECT_THROW(DeploymentGate{no_queries}, CheckError);
+  GateConfig no_neighbors;
+  no_neighbors.knn_k = 0;
+  EXPECT_THROW(DeploymentGate{no_neighbors}, CheckError);
+}
+
 TEST(Gate, UnknownCandidateThrows) {
   EmbeddingStore store;
   store.add_version("a", random_embedding(10, 4, 36));

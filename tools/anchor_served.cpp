@@ -275,8 +275,9 @@ int main(int argc, char** argv) {
     config.gate.eis_reject = parser.get_double("eis-reject");
     config.gate.knn_warn = parser.get_double("knn-warn");
     config.gate.knn_reject = parser.get_double("knn-reject");
-    config.gate.knn_queries =
-        static_cast<std::size_t>(parser.get_int("knn-queries"));
+    const std::int64_t knn_queries = parser.get_int("knn-queries");
+    if (knn_queries < 1) throw std::runtime_error("--knn-queries must be >= 1");
+    config.gate.knn_queries = static_cast<std::size_t>(knn_queries);
     config.gate.max_rows =
         static_cast<std::size_t>(parser.get_int("gate-max-rows"));
     config.gate.audit_log = parser.get("audit-log");
