@@ -8,8 +8,12 @@
 //   sketch s=1    SpaceSavingSketch::offer with one stripe (worst case)
 //   sketch s=8    same offered load, lock-striped (the shipped default)
 //   heat          RangeHeatMap::record — one relaxed atomic add
-//   key_load      KeyLoadRecorder::record — sketch + heat, the exact
-//                 hook LookupService/ClusterClient run per resolved key
+//   key_load      KeyLoadRecorder::record — sketch + heat, one key per
+//                 call
+//   key_load record_ids
+//                 KeyLoadRecorder::record_ids over 32-key batches (a
+//                 shard's share of a 64-id request) — the hook
+//                 LookupService/ClusterClient run once per request
 //
 // Keys are Zipf-ish skewed like real traffic: a uniform stream would
 // understate sketch cost (every offer a miss-path eviction) and overstate
@@ -17,6 +21,7 @@
 // --smoke shrinks repetitions for CI.
 //
 // Run: ./build/bench/bench_obs_load [--smoke] [--json path]
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -26,6 +31,7 @@
 #include <vector>
 
 #include "bench/bench_json.hpp"
+#include "la/kernels.hpp"
 #include "obs/heavy_hitters.hpp"
 #include "obs/windowed.hpp"
 #include "util/rng.hpp"
@@ -51,11 +57,12 @@ std::vector<std::uint64_t> skewed_keys(std::size_t n, std::uint64_t seed) {
   return keys;
 }
 
-/// Per-op ns for `op(key)` over a pre-drawn key stream, `threads` ways
-/// concurrent (each thread its own stream so contention is on the
-/// recorder, not the generator).
+/// Per-key ns for `op(keys, n)` over pre-drawn key streams cut into
+/// `batch`-key calls, `threads` ways concurrent (each thread its own
+/// stream so contention is on the recorder, not the generator).
 template <typename Op>
-double time_per_op(std::size_t reps, std::size_t threads, const Op& op) {
+double time_per_key(std::size_t reps, std::size_t threads, std::size_t batch,
+                    const Op& op) {
   std::vector<std::vector<std::uint64_t>> streams;
   streams.reserve(threads);
   for (std::size_t t = 0; t < threads; ++t) {
@@ -66,7 +73,10 @@ double time_per_op(std::size_t reps, std::size_t threads, const Op& op) {
   workers.reserve(threads);
   for (std::size_t t = 0; t < threads; ++t) {
     workers.emplace_back([&, t] {
-      for (const std::uint64_t k : streams[t]) op(k);
+      const std::vector<std::uint64_t>& keys = streams[t];
+      for (std::size_t i = 0; i < keys.size(); i += batch) {
+        op(keys.data() + i, std::min(batch, keys.size() - i));
+      }
     });
   }
   for (auto& w : workers) w.join();
@@ -74,6 +84,13 @@ double time_per_op(std::size_t reps, std::size_t threads, const Op& op) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   return 1e9 * secs / static_cast<double>(reps * threads);
+}
+
+/// time_per_key with one `op(key)` call per key.
+template <typename Op>
+double time_per_op(std::size_t reps, std::size_t threads, const Op& op) {
+  return time_per_key(reps, threads, 1,
+                      [&](const std::uint64_t* k, std::size_t) { op(*k); });
 }
 
 struct Cell {
@@ -159,6 +176,19 @@ int main(int argc, char** argv) {
         time_per_op(reps, threads, [&](std::uint64_t k) { rm.record(k); });
     cells.push_back(c);
   }
+  {
+    constexpr std::size_t kBatch = 32;
+    Cell c{"key_load record_ids", "sketch+heat, 32-key batches", 0, 0};
+    obs::KeyLoadRecorder r1({512, 8}, {0, kVocab, 256});
+    c.ns_1t = time_per_key(
+        reps, 1, kBatch,
+        [&](const std::uint64_t* k, std::size_t n) { r1.record_ids(k, n); });
+    obs::KeyLoadRecorder rm({512, 8}, {0, kVocab, 256});
+    c.ns_mt = time_per_key(
+        reps, threads, kBatch,
+        [&](const std::uint64_t* k, std::size_t n) { rm.record_ids(k, n); });
+    cells.push_back(c);
+  }
 
   TextTable table({"recorder", "config", "1-thread ns/op",
                    std::to_string(threads) + "-thread ns/op"});
@@ -188,6 +218,11 @@ int main(int argc, char** argv) {
   json.begin_object();
   json.kv("bench", "obs_load");
   json.kv("mode", smoke ? "smoke" : "full");
+  json.key("host").begin_object();
+  json.kv("hardware_threads",
+          static_cast<std::size_t>(std::thread::hardware_concurrency()));
+  json.kv("isa", la::kernels::active_isa());
+  json.end_object();
   json.kv("threads", threads);
   json.kv("reps_per_thread", reps);
   json.key("recorders").begin_array();

@@ -804,8 +804,9 @@ serve::LookupResult ClusterClient::lookup_ids(
   const std::uint64_t total = config_.map.total_rows();
   std::vector<Plan> plans(config_.map.num_shards());
   std::vector<std::uint8_t> flags(ids.size(), 0);
+  std::vector<std::size_t> resolved;  // in-range ids, request order
   for (std::size_t i = 0; i < ids.size(); ++i) {
-    const std::uint64_t id = ids[i];
+    const std::size_t id = ids[i];
     if (id >= total) {
       flags[i] = serve::kLookupFlagOov;  // same contract as one process
       continue;
@@ -813,9 +814,13 @@ serve::LookupResult ClusterClient::lookup_ids(
     const std::size_t b = config_.map.shard_of_id(id);
     plans[b].local_ids.push_back(id - config_.map.shard(b).row_begin);
     plans[b].id_slots.push_back(static_cast<std::uint32_t>(i));
-    // Router-side key-load attribution, in GLOBAL id space (the backends
-    // record the same key in their local space).
-    if (config_.load != nullptr) config_.load->record(id);
+    if (config_.load != nullptr) resolved.push_back(id);
+  }
+  // Router-side key-load attribution, in GLOBAL id space (the backends
+  // record the same keys in their local space): one batched record per
+  // request.
+  if (config_.load != nullptr) {
+    config_.load->record_ids(resolved.data(), resolved.size());
   }
   return execute(plans, ids.size(), std::move(flags));
 }
@@ -825,6 +830,7 @@ serve::LookupResult ClusterClient::lookup_words(
   const std::uint64_t total = config_.map.total_rows();
   std::vector<Plan> plans(config_.map.num_shards());
   std::vector<std::uint8_t> flags(words.size(), 0);
+  std::vector<std::size_t> resolved;  // in-vocabulary ids, request order
   for (std::size_t i = 0; i < words.size(); ++i) {
     std::size_t id = 0;
     if (serve::parse_synthetic_word_id(words[i], &id) && id < total) {
@@ -834,13 +840,16 @@ serve::LookupResult ClusterClient::lookup_words(
       const std::size_t b = config_.map.shard_of_id(id);
       plans[b].local_ids.push_back(id - config_.map.shard(b).row_begin);
       plans[b].id_slots.push_back(static_cast<std::uint32_t>(i));
-      if (config_.load != nullptr) config_.load->record(id);
+      if (config_.load != nullptr) resolved.push_back(id);
     } else {
       // OOV: one deterministic home shard synthesizes it.
       const std::size_t b = config_.map.shard_of_word(words[i]);
       plans[b].words.push_back(words[i]);
       plans[b].word_slots.push_back(static_cast<std::uint32_t>(i));
     }
+  }
+  if (config_.load != nullptr) {
+    config_.load->record_ids(resolved.data(), resolved.size());
   }
   return execute(plans, words.size(), std::move(flags));
 }

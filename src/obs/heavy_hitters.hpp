@@ -17,6 +17,13 @@
 //     recorders contend 1/stripes as often and per-key counts stay exact
 //     within their stripe.
 //
+//     Cost: each stripe keeps its entries in a binary min-heap ordered by
+//     (count asc, key asc) — the heap top is exactly the entry a linear
+//     scan for the minimum picks — plus an open-addressed key → entry
+//     table. An offer is O(log c) (c = entries per stripe) and allocates
+//     nothing after construction. offer_many takes each stripe's mutex
+//     once per batch, not once per key.
+//
 //   • RangeHeatMap — "which contiguous id ranges are hot". A fixed
 //     fanout of `buckets` equal-width bins over the shard's [row_begin,
 //     row_end) slice, one relaxed atomic add per record. Merged per-range
@@ -39,8 +46,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
+#include <type_traits>
 #include <vector>
 
 namespace anchor::obs {
@@ -76,15 +82,22 @@ class SpaceSavingSketch {
     /// Total entry budget, split evenly across stripes. The documented
     /// per-stripe error bound is N_stripe / (capacity / stripes).
     std::size_t capacity = 512;
+    /// A key goes to stripe splitmix64(key) % stripes.
     std::size_t stripes = 8;
   };
 
   explicit SpaceSavingSketch(Config config);
+  ~SpaceSavingSketch();
   SpaceSavingSketch(const SpaceSavingSketch&) = delete;
   SpaceSavingSketch& operator=(const SpaceSavingSketch&) = delete;
 
   /// Records `n` occurrences of `key`. Takes the key's stripe mutex.
   void offer(std::uint64_t key, std::uint64_t n = 1);
+
+  /// Records one occurrence of each of keys[0..n). Takes each touched
+  /// stripe's mutex once and applies that stripe's keys in their original
+  /// order, so the result equals n sequential offer(keys[i]) calls.
+  void offer_many(const std::uint64_t* keys, std::size_t n);
 
   /// Consistent per stripe (each stripe snapshots under its mutex);
   /// cross-stripe skew is bounded by in-flight offers, same discipline
@@ -96,12 +109,7 @@ class SpaceSavingSketch {
   std::size_t stripe_capacity() const { return stripe_capacity_; }
 
  private:
-  struct Stripe {
-    mutable std::mutex mu;
-    std::unordered_map<std::uint64_t, std::size_t> index;  // key → entry
-    std::vector<HeavyHitter> entries;
-    std::uint64_t total = 0;
-  };
+  struct Stripe;  // heap + key table under one mutex (heavy_hitters.cpp)
 
   std::size_t stripe_capacity_ = 0;
   std::vector<std::unique_ptr<Stripe>> stripes_;
@@ -152,12 +160,18 @@ class RangeHeatMap {
   /// bins (an OOV-synthesized id is still load on this shard).
   void record(std::uint64_t id, std::uint64_t n = 1);
 
+  /// One occurrence of each of ids[0..n): a relaxed add per id, and one
+  /// add of n to the total.
+  void record_many(const std::uint64_t* ids, std::size_t n);
+
   HeatMapSnapshot snapshot() const;
   HeatMapSnapshot snapshot_at(std::uint64_t now_us) const;
 
   const Config& config() const { return config_; }
 
  private:
+  std::size_t bucket_of(std::uint64_t id) const;
+
   Config config_;
   std::uint64_t start_us_ = 0;
   std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;
@@ -178,10 +192,14 @@ struct KeyLoadRecorder {
     sketch.offer(id, n);
     heat.record(id, n);
   }
+  /// One occurrence of each of ids[0..n), batched: one lock per touched
+  /// sketch stripe and one heat-map total add per call. Snapshots equal
+  /// those of n record(ids[i]) calls.
   void record_ids(const std::size_t* ids, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-      record(static_cast<std::uint64_t>(ids[i]));
-    }
+    static_assert(std::is_same_v<std::size_t, std::uint64_t>,
+                  "row ids are passed to the sketch as its key type");
+    sketch.offer_many(ids, n);
+    heat.record_many(ids, n);
   }
 };
 

@@ -57,8 +57,13 @@ void LookupService::fetch_rows(const EmbeddingSnapshot& snap,
   // snapshots go through it; both pay a real decode on a miss.
   if (config_.cache_rows_per_shard == 0 ||
       (snap.bits() == 32 && !snap.is_pq())) {
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      if (rows[i] != kNotARow) snap.copy_row(rows[i], out + i * dim);
+    // One copy_rows call per run of in-vocabulary rows, straight into the
+    // result slots — a single call for a batch without OOV requests.
+    for (std::size_t i = 0; i < rows.size();) {
+      std::size_t end = i;
+      while (end < rows.size() && rows[end] != kNotARow) ++end;
+      if (end > i) snap.copy_rows(rows.data() + i, end - i, out + i * dim);
+      i = end + 1;  // past the OOV sentinel that ended the run
     }
     return;
   }
@@ -194,12 +199,13 @@ void LookupService::lookup_batch_into(std::size_t n, const Resolve& resolve,
   if (config_.load != nullptr) {
     // Key-load attribution happens at resolve time, before the gather, so
     // a cache hit and a dequantize miss weigh the same: the sketch and
-    // heat map measure demand, not cost.
+    // heat map measure demand, not cost. One batched record per request.
+    thread_local std::vector<std::size_t> resolved;
+    resolved.clear();
     for (std::size_t i = 0; i < n; ++i) {
-      if (rows[i] != kNotARow) {
-        config_.load->record(static_cast<std::uint64_t>(rows[i]));
-      }
+      if (rows[i] != kNotARow) resolved.push_back(rows[i]);
     }
+    config_.load->record_ids(resolved.data(), resolved.size());
   }
   {
     // The cache/dequantize gather is the batch's compute kernel; when a

@@ -2,18 +2,19 @@
 //
 // The hot path — resolve the live snapshot, gather rows into the caller's
 // output buffer — takes no global lock: the snapshot is an immutable
-// shared_ptr and the only synchronization is a fixed pool of 16 cache
-// shards, each a mutex-guarded LRU keyed by (snapshot epoch, row) — rows
-// spread over the pool by key, independently of the snapshot's own storage
-// sharding. Batches take each shard mutex at most twice per request batch
-// (one probe pass, one insert pass) and dequantize all misses in a single
-// block between them. The cache holds *dequantized* vectors, so
-// for quantized snapshots a popular row pays the unpack cost once per swap
-// instead of once per request (the same motivation as util/cache's
-// compute-once-serve-many artifact discipline, applied at row granularity).
-// Cache entries are keyed by (snapshot epoch, row), so a hot swap can never
-// serve a stale generation — old entries age out through normal LRU
-// eviction.
+// shared_ptr, and by default rows come straight from it, one copy_rows
+// call per batch (a fused dequantize/decode for encoded snapshots).
+//
+// An LRU row cache is available but off by default (opt in with
+// LookupConfig::cache_rows_per_shard). Its mutexes, LRU bookkeeping and
+// hash probes cost more than the dequantize they skip: on int8 at dim 64
+// bench_serve_throughput measures 33–52 Mqps uncached vs 4.0–4.8 Mqps
+// cached, and servebench's skewed `lookup` traffic hits it for only ~12%
+// of keys. When enabled it is a fixed pool of 16 cache shards, each a
+// mutex-guarded LRU keyed by (snapshot epoch, row), so a hot swap can
+// never serve a stale generation. Batches take each shard mutex at most
+// twice (one probe pass, one insert pass) and dequantize all misses in a
+// single block between them.
 //
 // Requests may also carry word *strings*; ids outside the live vocabulary
 // fall back to subword synthesis (embed/subword hashed n-grams) when the
@@ -39,10 +40,11 @@ namespace anchor::serve {
 
 struct LookupConfig {
   /// Hot rows cached per *cache* shard (a fixed pool of 16, so total
-  /// capacity is 16× this, shared across live epochs). 0 disables caching.
-  /// Only quantized snapshots use the cache (it skips their repeated
-  /// unpacks); fp32 rows are a bare memcpy and always bypass it.
-  std::size_t cache_rows_per_shard = 256;
+  /// capacity is 16× this, shared across live epochs). 0 (the default)
+  /// disables caching: a batched dequantize is cheaper than the cache's
+  /// bookkeeping (see the header comment). Only encoded snapshots use the
+  /// cache; fp32 rows are a bare memcpy and always bypass it.
+  std::size_t cache_rows_per_shard = 0;
   /// When set, every lookup resolves this exact snapshot instead of the
   /// store's live one. Identity, not name: the canary router pins the
   /// candidate snapshot it evaluated, so a concurrent re-register under
@@ -128,12 +130,14 @@ class LookupService {
     std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index;
   };
 
-  /// Batched row gather through the shard cache: one probe pass taking each
-  /// cache shard's mutex at most once (hits copied under that lock), one
-  /// lock-free block dequantize of every miss straight into the result
-  /// buffer, one insert pass (again one lock per shard, recycling evicted
-  /// LRU nodes so the steady state allocates nothing). Entries of `rows`
-  /// equal to the OOV sentinel are skipped.
+  /// Batched row gather. Uncached (the default) or fp32: one copy_rows
+  /// call per run of in-vocabulary rows — one call when the batch has no
+  /// OOV. Cached: one probe pass taking each cache shard's mutex at most
+  /// once (hits copied under that lock), one lock-free block dequantize of
+  /// every miss straight into the result buffer, one insert pass (again
+  /// one lock per shard, recycling evicted LRU nodes so the steady state
+  /// allocates nothing). Entries of `rows` equal to the OOV sentinel are
+  /// skipped.
   void fetch_rows(const EmbeddingSnapshot& snap,
                   const std::vector<std::size_t>& rows, float* out) const;
 

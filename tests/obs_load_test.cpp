@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "obs/metrics.hpp"
 #include "obs/windowed.hpp"
 #include "serve/serve.hpp"
+#include "sketch_reference.hpp"
 #include "util/rng.hpp"
 
 namespace anchor::obs {
@@ -308,6 +310,71 @@ TEST(Sketch, MergeIsCommutativeAssociativeBitIdentical) {
   EXPECT_EQ(id.capacity, left.capacity);
 }
 
+void expect_sketches_equal(const SketchSnapshot& a, const SketchSnapshot& b,
+                           const std::string& where) {
+  EXPECT_EQ(a.capacity, b.capacity) << where;
+  EXPECT_EQ(a.total, b.total) << where;
+  ASSERT_EQ(a.entries.size(), b.entries.size()) << where;
+  for (std::size_t i = 0; i < a.entries.size(); ++i) {
+    EXPECT_EQ(a.entries[i].key, b.entries[i].key) << where << " entry " << i;
+    EXPECT_EQ(a.entries[i].count, b.entries[i].count)
+        << where << " entry " << i;
+    EXPECT_EQ(a.entries[i].error, b.entries[i].error)
+        << where << " entry " << i;
+  }
+}
+
+TEST(Sketch, MatchesLinearScanReference) {
+  // Randomized streams against the textbook linear-scan sketch: uniform
+  // keys, u³-skewed keys (a few hot keys and a long tail that keeps
+  // evicting), and a 7-key vocabulary whose counts tie constantly, so the
+  // (count, key) victim order is exercised on every eviction. Single
+  // offers (n ∈ {0, 1, 2}) interleave with offer_many batches, which the
+  // reference replays as sequential offers of 1.
+  Rng rng(61);
+  for (int trial = 0; trial < 240; ++trial) {
+    const int kind = trial % 3;
+    const std::size_t stripes = 1 + rng.index(9);
+    const std::size_t capacity = 1 + rng.index(600);
+    const std::uint64_t universe = kind == 2 ? 7 : 1 + rng.index(3000);
+    const std::size_t steps = rng.index(1500);
+    const std::string where = "trial " + std::to_string(trial) + " kind " +
+                              std::to_string(kind) + " stripes " +
+                              std::to_string(stripes) + " capacity " +
+                              std::to_string(capacity);
+    SpaceSavingSketch sketch({.capacity = capacity, .stripes = stripes});
+    sketch_reference::LinearScanSketch reference(capacity, stripes);
+    auto draw = [&]() -> std::uint64_t {
+      if (kind == 1) {
+        const double u = rng.uniform();
+        return static_cast<std::uint64_t>(u * u * u *
+                                          static_cast<double>(universe));
+      }
+      return rng.next_u64() % universe;
+    };
+    std::vector<std::uint64_t> batch;
+    for (std::size_t step = 0; step < steps; ++step) {
+      if (rng.bernoulli(0.3)) {
+        batch.resize(rng.index(40));
+        for (std::uint64_t& k : batch) k = draw();
+        sketch.offer_many(batch.data(), batch.size());
+        for (const std::uint64_t k : batch) reference.offer(k);
+      } else {
+        const std::uint64_t key = draw();
+        const std::uint64_t n = rng.index(3);
+        sketch.offer(key, n);
+        reference.offer(key, n);
+      }
+      if (step == steps / 2) {
+        expect_sketches_equal(sketch.snapshot(), reference.snapshot(),
+                              where + " midway");
+      }
+    }
+    expect_sketches_equal(sketch.snapshot(), reference.snapshot(), where);
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
 // ---- RangeHeatMap ------------------------------------------------------
 
 TEST(Heat, MergeEqualsSingleRecorder) {
@@ -405,6 +472,65 @@ TEST(KeyLoad, RecorderFeedsBothSketchAndHeat) {
   EXPECT_EQ(s.entries[0].count, 3u);
   EXPECT_EQ(rec.heat.snapshot().total, 4u);
   EXPECT_EQ(rec.heat.snapshot().range_total(3), 4u);
+}
+
+TEST(KeyLoad, RecordIdsEqualsPerKeyRecord) {
+  // The batched hook must leave exactly the state per-key records leave:
+  // the sketch (including evictions, with ids past the heat range that
+  // clamp to its edge buckets) and the heat map's buckets and total.
+  const SpaceSavingSketch::Config sc{.capacity = 24, .stripes = 4};
+  const RangeHeatMap::Config hc{.row_begin = 100, .row_end = 600,
+                                .buckets = 16};
+  KeyLoadRecorder batched(sc, hc), per_key(sc, hc);
+  Rng rng(67);
+  std::vector<std::size_t> ids;
+  for (int request = 0; request < 300; ++request) {
+    ids.resize(rng.index(65));
+    for (std::size_t& id : ids) {
+      const double u = rng.uniform();
+      id = static_cast<std::size_t>(u * u * u * 700.0);
+    }
+    batched.record_ids(ids.data(), ids.size());
+    for (const std::size_t id : ids) per_key.record(id);
+  }
+  expect_sketches_equal(batched.sketch.snapshot(), per_key.sketch.snapshot(),
+                        "record_ids vs record");
+  const HeatMapSnapshot a = batched.heat.snapshot();
+  const HeatMapSnapshot b = per_key.heat.snapshot();
+  EXPECT_EQ(a.total, b.total);
+  ASSERT_EQ(a.ranges.size(), 1u);
+  ASSERT_EQ(b.ranges.size(), 1u);
+  EXPECT_EQ(a.ranges[0].buckets, b.ranges[0].buckets);
+}
+
+TEST(KeyLoad, ConcurrentRecordIdsCountEveryKey) {
+  // Batched records from several threads: with room for every distinct
+  // key nothing is evicted, so each key's count is exact and both totals
+  // see every key (the stripe locks and heat atomics lose nothing).
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kKeys = 40;
+  constexpr std::size_t kBatches = 500;
+  KeyLoadRecorder rec({.capacity = 256, .stripes = 8},
+                      {.row_begin = 0, .row_end = kKeys, .buckets = 8});
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&rec] {
+      std::vector<std::size_t> batch(kKeys);
+      for (std::size_t i = 0; i < kKeys; ++i) batch[i] = i;
+      for (std::size_t b = 0; b < kBatches; ++b) {
+        rec.record_ids(batch.data(), batch.size());
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  const SketchSnapshot s = rec.sketch.snapshot();
+  EXPECT_EQ(s.total, kThreads * kBatches * kKeys);
+  ASSERT_EQ(s.entries.size(), kKeys);
+  for (const HeavyHitter& e : s.entries) {
+    EXPECT_EQ(e.count, kThreads * kBatches) << "key " << e.key;
+    EXPECT_EQ(e.error, 0u) << "key " << e.key;
+  }
+  EXPECT_EQ(rec.heat.snapshot().total, kThreads * kBatches * kKeys);
 }
 
 // ---- DriftProbe --------------------------------------------------------

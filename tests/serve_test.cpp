@@ -540,7 +540,7 @@ TEST(Lookup, RepeatedRowsHitTheCache) {
   EmbeddingStore store;
   store.add_version("v1", random_embedding(20, 8, 21),
                     {.bits = 8, .build_oov_table = false});
-  LookupService service(store);
+  LookupService service(store, {.cache_rows_per_shard = 256});
   service.lookup_ids({3, 3, 3, 3});
   const auto stats = service.stats().snapshot();
   EXPECT_EQ(stats.cache_misses, 1u);
@@ -575,7 +575,7 @@ TEST(Lookup, DuplicateRowsInOneBatchMissOnlyOnce) {
   EmbeddingStore store;
   store.add_version("v1", random_embedding(20, 8, 30),
                     {.bits = 8, .build_oov_table = false});
-  LookupService service(store);
+  LookupService service(store, {.cache_rows_per_shard = 256});
   const auto r = service.lookup_ids({7, 7, 2, 7, 2});
   const auto stats = service.stats().snapshot();
   EXPECT_EQ(stats.cache_misses, 2u);  // rows 7 and 2
@@ -598,10 +598,34 @@ TEST(Lookup, CacheDisabledRecordsNothing) {
   EXPECT_EQ(stats.lookups, 3u);
 }
 
+TEST(Lookup, DefaultConfigBypassesTheCache) {
+  // The row cache is opt-in: a default service reads every row straight
+  // from the snapshot, bit-identical to what a cached service returns.
+  EmbeddingStore store;
+  store.add_version("v1", random_embedding(40, 8, 31),
+                    {.bits = 8, .build_oov_table = false});
+  LookupService plain(store);
+  LookupService cached(store, {.cache_rows_per_shard = 256});
+  const std::vector<std::size_t> ids = {5, 5, 39, 0, 40, 12, 5, 41, 7};
+  for (int round = 0; round < 2; ++round) {
+    const auto a = plain.lookup_ids(ids);
+    const auto b = cached.lookup_ids(ids);
+    EXPECT_EQ(a.oov, b.oov);
+    ASSERT_EQ(a.vectors.size(), b.vectors.size());
+    for (std::size_t i = 0; i < a.vectors.size(); ++i) {
+      EXPECT_EQ(a.vectors[i], b.vectors[i]) << "round=" << round << " i=" << i;
+    }
+  }
+  const auto stats = plain.stats().snapshot();
+  EXPECT_EQ(stats.cache_hits + stats.cache_misses, 0u);
+  EXPECT_EQ(stats.lookups, 2 * ids.size());
+  EXPECT_GT(cached.stats().snapshot().cache_hits, 0u);
+}
+
 TEST(Lookup, Fp32SnapshotsBypassTheCache) {
   EmbeddingStore store;
   store.add_version("v1", random_embedding(20, 8, 22));  // fp32
-  LookupService service(store);  // caching enabled
+  LookupService service(store, {.cache_rows_per_shard = 256});
   service.lookup_ids({3, 3, 3});
   const auto stats = service.stats().snapshot();
   EXPECT_EQ(stats.cache_hits + stats.cache_misses, 0u);

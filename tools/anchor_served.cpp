@@ -118,7 +118,9 @@ int main(int argc, char** argv) {
                     "(m sub-vectors, b-bit codes, e.g. pq:4x8)", "32");
   parser.add_option("shards", "storage shards per snapshot", "8");
   parser.add_option("cache-rows",
-                    "hot rows per lookup-cache shard (0 disables)", "256");
+                    "hot rows per lookup-cache shard (0 = off, the "
+                    "default: a batched dequantize is cheaper than the "
+                    "cache's locking and LRU upkeep)", "0");
   parser.add_option("port", "TCP port on 127.0.0.1 (0 = ephemeral)", "0");
   parser.add_option("metrics",
                     "Prometheus scrape port on 127.0.0.1 (0 = ephemeral, "
